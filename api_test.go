@@ -3,7 +3,9 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -60,18 +62,23 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// stubRuns numbers the runs of TestRegisterCustomProtocol: the registry is
+// process-global, so each run (under -count=N) registers a fresh name.
+var stubRuns atomic.Int64
+
 func TestRegisterCustomProtocol(t *testing.T) {
-	if err := repro.Register("stub-custom", func() repro.Protocol { return stubProtocol{} }); err != nil {
+	name := fmt.Sprintf("stub-custom-%d", stubRuns.Add(1))
+	if err := repro.Register(name, func() repro.Protocol { return stubProtocol{} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := repro.Register("stub-custom", func() repro.Protocol { return stubProtocol{} }); err == nil {
+	if err := repro.Register(name, func() repro.Protocol { return stubProtocol{} }); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	if err := repro.Register("", nil); err == nil {
 		t.Fatal("empty registration accepted")
 	}
 	rep, err := repro.NewExperiment().
-		ProtocolNames("stub-custom").
+		ProtocolNames(name).
 		Sizes(8, 16).
 		Trials(3).
 		Run(context.Background())

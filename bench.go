@@ -27,27 +27,10 @@ const (
 	// replayed as table loads, with transparent generic fallback when the
 	// interner's capacity cap is exceeded. The timed run goes through
 	// tables pre-filled by an untimed warmup run of the same trajectory,
-	// so the row reports the layer's steady-state lookup throughput — the
-	// one-time fill cost is measured separately by BenchLanes, amortized
-	// across a batch exactly as sweeps pay it.
+	// so the row reports the layer's steady-state lookup throughput, not
+	// the one-time fill cost every trial pays.
 	BenchInterned BenchMode = "interned"
-	// BenchLanes measures a batch of same-cell trials run as lockstep
-	// structure-of-arrays lanes over one shared transition-table set
-	// (LaneTrials): per-trial results are bit-identical to BenchInterned,
-	// but the table fills and state interning amortize across the batch.
-	// Steps and steps/sec aggregate the whole batch; Lanes records the
-	// batch width.
-	BenchLanes BenchMode = "lanes"
 )
-
-// defaultBenchLanes is the lane count RunBenchmark uses for BenchLanes;
-// RunBenchmarkLanes takes an explicit width.
-const defaultBenchLanes = 8
-
-// benchLaneSeedStride spreads a base seed into per-lane seeds
-// (seed + i*stride); an odd 64-bit constant keeps the streams distinct for
-// any base.
-const benchLaneSeedStride = 0x9e3779b97f4a7c15
 
 // BenchResult is one measurement of the performance-baseline pipeline
 // (cmd/bench): steps per second of one protocol × ring size × scenario ×
@@ -69,9 +52,6 @@ type BenchResult struct {
 	// capacity cap was exceeded and the run completed on the generic path
 	// (P_PL at large n); absent for every other mode.
 	Fallback bool `json:"fallback,omitempty"`
-	// Lanes is the lockstep batch width of a BenchLanes row; absent for
-	// every other mode.
-	Lanes int `json:"lanes,omitempty"`
 }
 
 // Record converts the measurement to the streaming TrialRecord form, so
@@ -104,23 +84,17 @@ type benchRunner interface {
 	stepCount() uint64
 }
 
-// benchable is implemented by the built-in protocols: it builds a fresh,
-// fully wired trial engine without running it, so RunBenchmark can time
-// the run phase alone. The per-protocol newBench methods live next to
-// their Trial wiring in protocols.go.
+// benchable is implemented by the built-in protocols (ringProtocol).
+// newBench builds a fresh, fully wired trial engine without running it, so
+// RunBenchmark can time the run phase alone. newBenchPair builds two such
+// engines for the same (scenario, n, seed) cell over ONE shared
+// transition-table set, for the interned mode: the first runner is an
+// untimed warmup that fills the state interner and pair tables, the second
+// re-runs the identical trajectory through the warm tables, so the timed
+// region measures the steady-state table-lookup throughput the mode is
+// named for rather than the one-time fill.
 type benchable interface {
 	newBench(sc Scenario, n int, seed uint64) (benchRunner, error)
-}
-
-// internedBenchable is implemented by the built-in protocols: it builds
-// two fully wired trial engines for the same (scenario, n, seed) cell over
-// ONE shared transition-table set. RunBenchmark uses the pair for the
-// interned mode — the first runner is an untimed warmup that fills the
-// state interner and pair tables, the second re-runs the identical
-// trajectory through the warm tables — so the timed region measures the
-// steady-state table-lookup throughput the mode is named for rather than
-// the one-time fill.
-type internedBenchable interface {
 	newBenchPair(sc Scenario, n int, seed uint64) (warm, timed benchRunner, err error)
 }
 
@@ -136,9 +110,6 @@ type internedBenchable interface {
 // and scan modes need engine-level access that the public Protocol
 // contract deliberately does not expose.
 func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, rawSteps uint64) (BenchResult, error) {
-	if mode == BenchLanes {
-		return RunBenchmarkLanes(name, n, seed, sc, defaultBenchLanes)
-	}
 	if len(sc.Faults) > 0 {
 		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support fault schedules")
 	}
@@ -160,11 +131,11 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 	n = p.FixSize(n)
 	maxSteps := sc.MaxSteps(p, n)
 	var ru benchRunner
-	if pb, isPair := p.(internedBenchable); isPair && mode == BenchInterned {
+	if mode == BenchInterned {
 		// Steady-state measurement: an untimed warmup run over the shared
 		// table set fills the interner and pair tables, then the timed
 		// runner below replays the identical trajectory entirely warm.
-		warm, timed, err := pb.newBenchPair(sc, n, seed)
+		warm, timed, err := b.newBenchPair(sc, n, seed)
 		if err != nil {
 			return BenchResult{}, err
 		}
@@ -199,55 +170,6 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		return BenchResult{}, fmt.Errorf("repro: unknown bench mode %q", mode)
 	}
 	res.Seconds = time.Since(start).Seconds()
-	if res.Seconds > 0 {
-		res.StepsPerSec = float64(res.Steps) / res.Seconds
-	}
-	return res, nil
-}
-
-// RunBenchmarkLanes executes one BenchLanes measurement: k same-cell trials
-// with seeds seed, seed+stride, … run as lockstep lanes over one shared
-// table set. The timed region is the whole LaneTrials call — table
-// construction included, since amortizing that construction across the
-// batch is exactly what the mode exists to measure. Steps sums the batch;
-// Converged reports whether every lane hit its predicate.
-func RunBenchmarkLanes(name string, n int, seed uint64, sc Scenario, k int) (BenchResult, error) {
-	if k < 1 {
-		return BenchResult{}, fmt.Errorf("repro: lanes benchmark needs k >= 1, got %d", k)
-	}
-	if len(sc.Faults) > 0 {
-		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support fault schedules")
-	}
-	if sc.Sched.hasChurn() {
-		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support churn schedules")
-	}
-	p, err := NewProtocol(name)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	l, ok := p.(laneable)
-	if !ok {
-		return BenchResult{}, fmt.Errorf("repro: protocol %q does not support lane benchmarks", name)
-	}
-	n = p.FixSize(n)
-	seeds := make([]uint64, k)
-	for i := range seeds {
-		seeds[i] = seed + uint64(i)*benchLaneSeedStride
-	}
-	res := BenchResult{
-		Protocol: name, N: n, Scenario: sc.Init.String(), Mode: BenchLanes,
-		Seed: seed, Lanes: k, Converged: true,
-	}
-	start := time.Now()
-	trials, err := l.LaneTrials(sc, n, seeds)
-	res.Seconds = time.Since(start).Seconds()
-	if err != nil {
-		return BenchResult{}, err
-	}
-	for _, tr := range trials {
-		res.Steps += tr.Steps
-		res.Converged = res.Converged && tr.Converged
-	}
 	if res.Seconds > 0 {
 		res.StepsPerSec = float64(res.Steps) / res.Seconds
 	}

@@ -105,7 +105,7 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		fmt.Fprintf(stdout, "## baseline cell missing from %s: %s n=%d %s %s\n",
 			newPath, k.Protocol, k.N, k.Scenario, k.Mode)
 		switch k.Mode {
-		case string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes), "recovery":
+		case string(repro.BenchTracked), string(repro.BenchInterned), "recovery":
 			lostGated = true
 		}
 	}
@@ -140,18 +140,18 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 
 	ok := true
 	if gate && lostGated {
-		fmt.Fprintln(stdout, "GATE FAIL: gated baseline cells (tracked/interned/lanes/recovery) missing from the new measurement")
+		fmt.Fprintln(stdout, "GATE FAIL: gated baseline cells (tracked/interned/recovery) missing from the new measurement")
 		ok = false
 	}
 	// Gate 1: normalized engine throughput, once per convergence-engine
-	// mode — tracked, interned and lanes each carry their own envelope, so
+	// mode — tracked and interned each carry their own envelope, so
 	// a regression in the table-lookup layer cannot hide behind the
 	// tracked engine (or vice versa). Geometric mean across every cell
 	// with both the mode's row and a runbatch row in both files, so a
 	// single noisy cell cannot fail the build on its own while a broad
 	// regression cannot hide behind one improved cell either.
 	fmt.Fprintln(stdout)
-	for _, mode := range []string{string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes)} {
+	for _, mode := range []string{string(repro.BenchTracked), string(repro.BenchInterned)} {
 		logSum, cells := 0.0, 0
 		for _, k := range keys {
 			if k.Mode != mode {
@@ -170,7 +170,7 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		}
 		if cells == 0 {
 			// Only the tracked mode is mandatory: the seed baseline predates
-			// the interned and lanes modes, and -compare must keep working
+			// the interned mode, and -compare must keep working
 			// against it.
 			if gate && mode == string(repro.BenchTracked) {
 				fmt.Fprintf(stdout, "GATE WARN: no common %s+runbatch cells; %s gate not evaluated\n", mode, mode)

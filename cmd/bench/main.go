@@ -2,11 +2,8 @@
 // BENCH_ringsim.json: steps per second for every requested protocol ×
 // ring size × scenario cell, in four engine modes — the raw RunBatch
 // transition loop (no convergence judgement), the incremental-tracker run
-// to convergence, the scan-era periodic-predicate run, the interned
-// table-lookup run (the trial default), and the "lanes" mode — a batch of
-// -lanes same-cell trials run as lockstep lanes over one shared
-// transition-table set, whose steps/sec aggregates the batch — plus a
-// "recovery" mode that
+// to convergence, the scan-era periodic-predicate run, and the interned
+// table-lookup run (the trial default) — plus a "recovery" mode that
 // injects a mid-run fault burst through the public Trial API and records
 // the exact number of steps the protocol needed to re-converge, and an
 // "eclipse" mode that partitions the ring (an eclipse scheduler kills
@@ -19,9 +16,9 @@
 // Usage:
 //
 //	bench [-protocols ppl,yokota,...] [-sizes 16,32,64] [-scenarios random]
-//	      [-modes runbatch,tracked,scan,interned,lanes,recovery,eclipse]
+//	      [-modes runbatch,tracked,scan,interned,recovery,eclipse]
 //	      [-trials 3] [-bestof 3] [-seed 1] [-rawsteps 2000000] [-ccmax 8]
-//	      [-lanes 8] [-maxstates 0] [-quick]
+//	      [-maxstates 0] [-quick]
 //	      [-o BENCH_ringsim.json] [-records FILE]
 //	bench -compare [-gate] [-max-tracked-regress 0.20] [-max-recovery-drift 0.05]
 //	      old.json new.json
@@ -35,8 +32,8 @@
 // share one consumer pipeline.
 //
 // -compare reads two baseline files and prints per-cell steps/sec ratios
-// (new/old). With -gate it exits non-zero when the tracked-, interned- or
-// lanes-mode throughput — each normalized by the same file's runbatch
+// (new/old). With -gate it exits non-zero when the tracked- or
+// interned-mode throughput — each normalized by the same file's runbatch
 // throughput, so baselines recorded on different machines stay comparable,
 // and each gated by its own geomean so the table-lookup layer cannot hide
 // behind the tracked engine — regresses by more than -max-tracked-regress,
@@ -90,7 +87,6 @@ type config struct {
 	seed      uint64
 	rawSteps  uint64
 	ccmax     int
-	lanes     int
 	maxStates int
 	out       string
 	records   string
@@ -107,13 +103,12 @@ func main() {
 		protocols  = flag.String("protocols", "ppl,yokota,angluin,fj,orient,chenchen", "comma-separated registered protocol names")
 		sizes      = flag.String("sizes", "16,32,64", "comma-separated ring sizes")
 		scenarios  = flag.String("scenarios", "random", "comma-separated init classes (non-ppl protocols skip all but random)")
-		modes      = flag.String("modes", "runbatch,tracked,scan,interned,lanes,recovery,eclipse", "comma-separated modes: runbatch, tracked, scan, interned, lanes, recovery, eclipse")
+		modes      = flag.String("modes", "runbatch,tracked,scan,interned,recovery,eclipse", "comma-separated modes: runbatch, tracked, scan, interned, recovery, eclipse")
 		trials     = flag.Int("trials", 3, "measurements per cell (seeds seed..seed+trials-1)")
 		bestOf     = flag.Int("bestof", 3, "timings per measurement; the fastest is kept")
 		seed       = flag.Uint64("seed", 1, "first scheduler seed")
 		rawSteps   = flag.Uint64("rawsteps", 2_000_000, "step budget of the runbatch mode")
 		ccmax      = flag.Int("ccmax", 8, "largest size for the [11]-style baseline (exponential class)")
-		lanes      = flag.Int("lanes", 8, "batch width of the lanes mode")
 		maxStates  = flag.Int("maxstates", 0, "interner capacity cap for every cell (0: engine default)")
 		out        = flag.String("o", "", "output path (default: stdout)")
 		records    = flag.String("records", "", "also stream each measurement as a TrialRecord JSONL line to this file")
@@ -176,7 +171,7 @@ func main() {
 	cfg = config{
 		protocols: *protocols, sizes: *sizes, scenarios: *scenarios, modes: *modes,
 		trials: *trials, bestOf: *bestOf, seed: *seed, rawSteps: *rawSteps,
-		ccmax: *ccmax, lanes: *lanes, maxStates: *maxStates, out: *out, records: *records,
+		ccmax: *ccmax, maxStates: *maxStates, out: *out, records: *records,
 	}
 	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -188,7 +183,7 @@ func main() {
 // times and returns the fastest row (the row whose timing is least
 // polluted by scheduler noise; steps are identical across repeats because
 // the seed pins the trajectory).
-func measure(name string, n int, seed uint64, sc repro.Scenario, mode string, rawSteps uint64, bestOf, lanes int) (repro.BenchResult, error) {
+func measure(name string, n int, seed uint64, sc repro.Scenario, mode string, rawSteps uint64, bestOf int) (repro.BenchResult, error) {
 	var best repro.BenchResult
 	for i := 0; i < bestOf; i++ {
 		var res repro.BenchResult
@@ -198,8 +193,6 @@ func measure(name string, n int, seed uint64, sc repro.Scenario, mode string, ra
 			res, err = measureRecovery(name, n, seed, sc)
 		case "eclipse":
 			res, err = measureEclipse(name, n, seed, sc)
-		case "lanes":
-			res, err = repro.RunBenchmarkLanes(name, n, seed, sc, lanes)
 		default:
 			res, err = repro.RunBenchmark(name, n, seed, sc, repro.BenchMode(mode), rawSteps)
 		}
@@ -351,7 +344,7 @@ func run(stdout io.Writer, cfg config) error {
 				}
 				for _, mode := range split(cfg.modes) {
 					for t := 0; t < cfg.trials; t++ {
-						res, err := measure(name, n, cfg.seed+uint64(t), sc, mode, cfg.rawSteps, cfg.bestOf, cfg.lanes)
+						res, err := measure(name, n, cfg.seed+uint64(t), sc, mode, cfg.rawSteps, cfg.bestOf)
 						if err != nil {
 							return err
 						}

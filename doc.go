@@ -28,7 +28,7 @@
 //     returns a structured Report (per-trial results, per-cell summaries,
 //     fitted scaling exponents) with Markdown, JSON and CSV renderers —
 //     and, through the streaming observation API below, feeds per-trial
-//     TrialRecords to pluggable Sinks as workers finish.
+//     TrialRecords to pluggable Sinks in trial order as trials finish.
 //     ReportFromRecords replays a recorded artifact back through the
 //     same aggregation, byte-identical to the run that produced it.
 //
@@ -74,7 +74,8 @@
 //     (recovery_steps, leaders_peak, chan_* channel counts, …) and the
 //     "leaders" series.
 //
-//   - Sink — consumes records as workers finish. Experiment.Sinks
+//   - Sink — consumes records as trials finish, in trial order within a
+//     cell and cells in plan order, whatever the worker count. Experiment.Sinks
 //     attaches any number (the in-memory Report is itself one such sink
 //     internally, so Run with sinks streams AND aggregates, byte-identical
 //     to before); Experiment.Stream drops the Report entirely, so a
@@ -198,38 +199,34 @@
 // key/value words, fronted by a small direct-mapped cache and a software
 // prefetch of the next pair's lookup line — when it grows; the
 // interner's default capacity cap is the full ID space (a memory
-// backstop, adjustable via Scenario.MaxStates); and LaneTrials runs a
-// batch of same-cell trials as lockstep lanes over one shared table set
-// so minting and table fills amortize across the batch.
+// backstop, adjustable via Scenario.MaxStates).
 //
 // The layer is a pure accelerator: the RNG stream, step counts, leader
 // accounting, hitting times and probe event streams are bit-identical to
 // the generic engine (pinned by differential tests across all six
 // protocols, fuzzed seeds, adversarial schedulers and mid-run fault
-// bursts — the lane path included), and it falls back to the generic
-// path transparently when the run exceeds the interner's capacity cap or
-// keeps missing the tables without minting new states (the adaptive
-// reuse guard).
+// bursts), and it falls back to the generic path transparently when the
+// run exceeds the interner's capacity cap or stuck agents make the
+// transition site-dependent.
 //
 // # Performance baseline (BENCH_ringsim.json)
 //
 // RunBenchmark (and the cmd/bench command wrapping it) measures steps per
-// second of every built-in protocol × ring size × scenario in five
+// second of every built-in protocol × ring size × scenario in four
 // modes: "runbatch" (the raw batched transition loop, no convergence
 // judgement — the ceiling), "tracked" (run-to-convergence through the
 // incremental tracker with exact hitting times), "scan" (the pre-tracker
 // periodic polling loop, kept as the comparison baseline), "interned"
 // (the trial default: the table-lookup layer timed steady-state against
 // tables pre-filled by an untimed warmup run, with its Fallback flag
-// recorded per row) and "lanes" (a batch of same-cell trials as lockstep
-// lanes over one shared table set — the cold fill paid once, amortized).
+// recorded per row).
 // cmd/bench additionally measures "recovery" rows —
 // exact steps from a deterministic mid-run fault burst back to
 // convergence — and "eclipse" rows — exact steps from a deterministic
 // ring partition's window closing back to convergence — times every
 // measurement best-of-k (-bestof, recorded in
 // the envelope), and its -compare subcommand diffs two baseline files
-// and gates CI: tracked-, interned- and lanes-mode throughput, each
+// and gates CI: tracked- and interned-mode throughput, each
 // normalized by the same file's runbatch rate (machine-portable) and
 // gated on its own geomean, must not regress more than 20%, and mean
 // recovery steps (deterministic counts) must not drift more than 5%
@@ -261,8 +258,8 @@
 // The building blocks live under internal/: the population-protocol
 // engine (internal/population), the protocol itself (internal/core), the
 // baselines (internal/yokota, internal/angluin, internal/fj,
-// internal/chenchen), the substrates (internal/thuemorse, internal/twohop,
-// internal/lottery), the experiment harness (internal/harness,
+// internal/chenchen), the substrates (internal/twohop, internal/lottery,
+// internal/war), the experiment harness (internal/harness,
 // internal/stats) and the parallel trial-execution engine
 // (internal/runner).
 //

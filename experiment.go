@@ -33,11 +33,11 @@ type Progress struct {
 // resulting Report is byte-identical whatever the worker count.
 //
 // Beyond the in-memory Report, trials can stream: Sinks attaches
-// TrialRecord consumers fed as workers finish (Run keeps the Report AND
-// streams; Stream drops the Report entirely, so memory stays bounded by
-// the worker count, not the trial count), Metrics adds composable
-// aggregations over any record observable to the Report, and ProbeWith
-// attaches a custom per-trial Probe to the event stream.
+// TrialRecord consumers fed in trial order as trials finish (Run keeps
+// the Report AND streams; Stream drops the Report entirely, so memory
+// stays bounded by the worker count, not the trial count), Metrics adds
+// composable aggregations over any record observable to the Report, and
+// ProbeWith attaches a custom per-trial Probe to the event stream.
 type Experiment struct {
 	protocols []Protocol
 	sizes     []int
@@ -126,10 +126,11 @@ func (e *Experiment) Observer(fn func(Progress)) *Experiment {
 }
 
 // Sinks attaches TrialRecord consumers. Records stream to every sink as
-// workers finish — completion order, not trial order — and every sink is
-// closed exactly once before Run or Stream returns (see Sink for the full
-// contract). Attaching a sink switches trials to the probed path, which
-// leaves results bit-identical.
+// trials finish, in trial order within a cell and cells in plan order (a
+// record that finishes early waits only for the trials before it), and
+// every sink is closed exactly once before Run or Stream returns (see
+// Sink for the full contract). Attaching a sink switches trials to the
+// probed path, which leaves results bit-identical.
 func (e *Experiment) Sinks(sinks ...Sink) *Experiment {
 	for _, s := range sinks {
 		if s == nil {
@@ -276,9 +277,11 @@ func (e *Experiment) ReportFromRecords(recs []TrialRecord) (*Report, error) {
 }
 
 // Stream executes the experiment without building a Report: every
-// TrialRecord goes to the attached Sinks as its trial finishes and is then
-// dropped, so memory stays bounded by the worker count however many
-// trials the sweep has. At least one sink must be attached.
+// TrialRecord goes to the attached Sinks — in trial order within a cell,
+// cells in plan order — as soon as its trial and every earlier trial of
+// the cell have finished, and is then dropped, so memory stays bounded by
+// about the worker count however many trials the sweep has. At least one
+// sink must be attached.
 func (e *Experiment) Stream(ctx context.Context) error {
 	if len(e.sinks) == 0 {
 		return fmt.Errorf("repro: Stream needs at least one Sink (use Run for an in-memory Report)")
@@ -343,11 +346,12 @@ func (e *Experiment) execute(ctx context.Context, rs *reportSink) (err error) {
 }
 
 // runCell fans the trials of one (protocol, size) cell out through the
-// worker pool, streaming each record to the sinks as it completes.
+// worker pool, streaming the records to the sinks in trial order.
 func (e *Experiment) runCell(ctx context.Context, p Protocol, info ProtocolInfo, n int, probed bool, ss *sinkSet, rs *reportSink) error {
 	if rs != nil {
 		rs.beginCell(n)
 	}
+	ss.beginCell()
 	opts := runner.Options{Workers: e.workers}
 	if e.observer != nil {
 		obs := e.observer

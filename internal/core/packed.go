@@ -187,9 +187,9 @@ func (p Params) attachMeta(spec *population.RingSpec[State]) {
 // instance memoizes the segment pair its last failure witnessed (hintK,
 // hintJ): when the verdict is re-evaluated at the same head and that pair
 // still fails, the O(n) chain walk collapses to an O(ψ) re-check. The hint
-// is purely advisory — a stale or cross-lane-polluted hint costs one wasted
-// pair check before the full scan — so lockstep lanes sharing one spec
-// instance interleave safely. A hint hit may witness a later failing pair
+// is purely advisory — a stale hint, or one left by another engine sharing
+// the spec instance through one table set, costs one wasted pair check
+// before the full scan. A hint hit may witness a later failing pair
 // than the full scan's first one; both pin genuinely failing checks, which
 // is all the witness cache requires (see the ResidualMeta contract).
 func (p Params) metaResidual() func(*population.LocalCounts, []uint64) (bool, population.Witness) {

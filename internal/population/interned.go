@@ -16,9 +16,9 @@ package population
 // words instead of the configuration structs.
 //
 // All memoized state lives in a Tables value, which any number of engines
-// may share — the lockstep lanes of lanes.go run k same-cell trials
-// against one warm table set. Sharing is single-goroutine: a Tables must
-// only ever be touched from one goroutine at a time.
+// may share — the benchmark's warm/timed pair runs two engines against one
+// table set. Sharing is single-goroutine: a Tables must only ever be
+// touched from one goroutine at a time.
 //
 // The layer is a pure accelerator: arc draws use the same batched RNG
 // stream (including the engine's pending-draw buffer and any installed
@@ -48,8 +48,9 @@ type EnvSpec[S any] struct {
 	Key func() uint32
 	// Delta encodes the transition's effect on the environment's backing
 	// counters in at most 11 bits (the memo entry's spare field). It must
-	// be a pure function of the four states — this is what lets lockstep
-	// lanes share one table set across trials whose live counters differ.
+	// be a pure function of the four states: memo entries are keyed on the
+	// state pair and env key alone, so a delta that read the live counters
+	// would be replayed wrongly once the counters move on.
 	Delta func(lb, rb, la, ra S) uint32
 	// Apply applies an encoded delta to the backing counters.
 	Apply func(delta uint32)
@@ -71,14 +72,10 @@ type InternOptions struct {
 const (
 	// DefaultMaxStates is the interner's hard ID ceiling: the cap is a
 	// memory backstop, not a reuse heuristic — tables grow lazily with the
-	// pairs actually seen, and runs that keep missing the tables without
-	// minting new states are cut off by the adaptive reuse guard long
-	// before the cap matters. The full ceiling is the default because the
+	// pairs actually seen. The full ceiling is the default because the
 	// O(n)-state protocols genuinely use it: one P_PL trial at n = 1024
-	// interns ~230n states, and lockstep lanes sharing one table set push
-	// past 2^18 (a tighter historical default that silently felled lane
-	// batches back to the generic path). Callers can lower it through
-	// InternOptions or Scenario.MaxStates.
+	// interns ~230n states. Callers can lower it through InternOptions or
+	// Scenario.MaxStates.
 	DefaultMaxStates = MaxInternStates
 	// DefaultDenseStates keeps the dense tier's stride² array at or below
 	// 512² entries (2 MiB) and its growth re-layouts cheap; past it pair
@@ -89,26 +86,6 @@ const (
 	// MaxInternStates is the hard ceiling on InternOptions.MaxStates: memo
 	// entries address successor states in idBits-wide fields.
 	MaxInternStates = 1 << idBits
-)
-
-// Adaptive reuse guard: interning only pays when (state, state) pairs
-// repeat, i.e. when the reachable state space is small relative to the
-// run — the poly-log regime. A run that keeps missing the tables pays the
-// full transition PLUS the memoization on every step, so after
-// adaptStrikes consecutive windows of adaptWindow steps with more than
-// 1-in-adaptMissDiv misses AND no newly minted states the engine falls
-// back to the generic path, exactly as it does when the capacity cap is
-// hit. The no-new-states condition is what distinguishes hopeless
-// wandering from the productive cold fill of a large-but-bounded state
-// space (P_PL at n = 1024 interns ~230k states over its first million
-// steps — every one of those windows mints states and must not strike).
-// The guard reads only deterministic per-run counters, so whether a given
-// seed's run interns or falls back is reproducible — and either way
-// bit-identical.
-const (
-	adaptWindow  = 2048
-	adaptMissDiv = 4 // bail threshold: more than window/4 misses
-	adaptStrikes = 3
 )
 
 // prefetchDepth is how many pending draws ahead the run loops touch the
@@ -157,10 +134,9 @@ type Accelerator interface {
 // Tables is the shared, engine-independent half of the interned layer: the
 // state interner, the memoized per-key transition tables, and the per-ID
 // metadata (leader bits, agent masks, MetaID words). One Tables serves any
-// number of engines of the same protocol — the lockstep lanes share one —
-// as long as all use is single-goroutine and every attached engine runs
-// the same transition, leader predicate and spec the tables were built
-// for.
+// number of engines of the same protocol as long as all use is
+// single-goroutine and every attached engine runs the same transition,
+// leader predicate and spec the tables were built for.
 type Tables[S comparable] struct {
 	spec     RingSpec[S]
 	isLeader func(S) bool
@@ -255,7 +231,6 @@ func (t *Tables[S]) syncIDMeta() {
 type InternedEngine[S comparable] struct {
 	*Engine[S]
 	tab     *Tables[S]
-	shared  bool // tab is shared with other engines (lanes); fall must not free it
 	env     *EnvSpec[S]
 	generic ConvergenceTracker[S]
 
@@ -274,12 +249,6 @@ type InternedEngine[S comparable] struct {
 	mirrorOK  bool
 	wc        witnessCache
 
-	// Adaptive reuse guard counters (see adaptWindow).
-	winSteps  int
-	winMisses int
-	winBase   int // interner size at the window start
-	strikes   int
-
 	// lazyStates marks a run loop where the ID mirror is authoritative and
 	// the per-step Engine.states writeback is skipped: each applied
 	// interaction would otherwise load two states out of the interner's
@@ -287,7 +256,7 @@ type InternedEngine[S comparable] struct {
 	// O(n)-state protocols) and struct-copy them into the configuration,
 	// which nothing reads before the loop exits. settle() rematerializes
 	// the configuration from the IDs at every loop exit — convergence,
-	// budget exhaustion, capacity or reuse fallback — so outside run loops
+	// budget exhaustion, capacity fallback — so outside run loops
 	// Engine.states is always current. Only set by loops whose verdicts run
 	// entirely at the ID level (see lazyOn).
 	lazyStates bool
@@ -410,17 +379,15 @@ func (g *InternedEngine[S]) reintern() bool {
 }
 
 // fall abandons the interned layer permanently for this engine, releasing
-// its per-engine mirrors — and the tables too, unless they are shared with
-// other lanes that may still be interning.
+// its per-engine mirrors and its own reference to the tables (other
+// engines attached to the same tables keep theirs).
 func (g *InternedEngine[S]) fall() {
 	g.fellBack = true
 	g.ids = nil
 	g.idsOK = false
 	g.arcBits, g.agentBits, g.ameta = nil, nil, nil
 	g.mirrorOK = false
-	if !g.shared {
-		g.tab = nil
-	}
+	g.tab = nil
 }
 
 // fill computes, interns and memoizes the transition of (idL, idR) under
@@ -511,7 +478,6 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 		v, ok = pt.get(idL, idR)
 	}
 	if !ok {
-		g.winMisses++
 		if v, ok = g.fill(key, idL, idR); !ok {
 			g.settle() // the generic continuation reads Engine.states
 			g.fall()
@@ -533,7 +499,6 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 			return stepFell
 		}
 	}
-	g.winSteps++
 	if v&flagNoop != 0 {
 		// Identity transition: no state, leader, env or tracker effect.
 		// (The env delta of an identity transition encodes "no counter
@@ -564,23 +529,6 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 		g.mirrorUpdate(int(li), int(ri), l2, r2, uint8(v>>arcMaskShift))
 	}
 	return stepApplied
-}
-
-// reuseBail evaluates the adaptive reuse guard after each completed
-// window and reports whether the run should abandon interning. Callers
-// bail between steps, so the switch is as clean as the capacity fallback.
-func (g *InternedEngine[S]) reuseBail() bool {
-	if g.winSteps < adaptWindow {
-		return false
-	}
-	if g.winMisses > g.winSteps/adaptMissDiv && g.tab.in.Len() == g.winBase {
-		g.strikes++
-	} else {
-		g.strikes = 0
-	}
-	g.winSteps, g.winMisses = 0, 0
-	g.winBase = g.tab.in.Len()
-	return g.strikes >= adaptStrikes
 }
 
 // lazyOn enables lazy state materialization for the run loop about to
@@ -833,11 +781,6 @@ func (g *InternedEngine[S]) runSteps(steps uint64, mirror bool) uint64 {
 		if g.applyInterned(arc[0], arc[1], mirror) == stepFell {
 			return steps
 		}
-		if g.reuseBail() {
-			g.settle()
-			g.fall()
-			return steps
-		}
 	}
 	return 0
 }
@@ -883,12 +826,6 @@ func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 				g.settle()
 				return e.step, true
 			}
-		}
-		if g.reuseBail() {
-			g.settle()
-			g.fall()
-			e.SetTracker(g.generic)
-			return e.RunUntilConverged(maxSteps)
 		}
 	}
 	g.settle()

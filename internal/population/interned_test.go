@@ -103,27 +103,15 @@ func toySpec() RingSpec[uint16] {
 }
 
 // toyTrans wanders through a large state space so a small interner cap is
-// exceeded mid-run (and, with a roomy cap, the adaptive reuse guard bails
-// on the never-repeating pairs).
+// exceeded mid-run.
 func toyTrans(l, r uint16) (uint16, uint16) {
 	return l + 1, r + l*3 + 7
 }
 
 // toyReuseTrans cycles within 23 states, the regime interning is for: the
-// pair tables warm up within the reuse guard's first window and the run
-// stays interned.
+// pair tables warm up quickly and the run stays interned.
 func toyReuseTrans(l, r uint16) (uint16, uint16) {
 	return (l + 1) % 23, (r + l*3 + 7) % 23
-}
-
-// toyBailTrans cycles within 251 states but mixes through its ~63k ordered
-// pairs nearly uniformly, so once every state has been minted the pair
-// tables keep missing with no new states to show for it — the regime the
-// adaptive reuse guard bails on (unlike toyTrans's endless minting, which
-// the guard must treat as productive cold fill and leave alone until the
-// capacity cap has its say).
-func toyBailTrans(l, r uint16) (uint16, uint16) {
-	return (l*5 + r*3 + 1) % 251, (r*7 + l + 2) % 251
 }
 
 func toyLeader(s uint16) bool { return s%5 == 0 }
@@ -170,9 +158,8 @@ func assertEnginesEqual(t *testing.T, gen *Engine[uint16], ie *Engine[uint16], c
 // TestInternedRunMatchesGenericRun pins the interned Run loop to the
 // generic engine on the same seed, across every fallback flavor — tiny cap
 // (capacity fallback mid-run, including mid-batch), roomy cap with a
-// state space still being minted (cold fill: the guard must not bail),
-// roomy cap with a bounded state space whose pairs never warm up
-// (adaptive reuse bail-out), and a reusing state space (stays interned):
+// state space still being minted (cold fill), and a reusing state space
+// (stays interned):
 // no flavor may lose, repeat or reorder a single drawn arc.
 func TestInternedRunMatchesGenericRun(t *testing.T) {
 	cases := []struct {
@@ -184,7 +171,6 @@ func TestInternedRunMatchesGenericRun(t *testing.T) {
 		{"capacity-fallback", 8, toyTrans, false},
 		{"mid-cap", 64, toyTrans, false},
 		{"cold-fill", 1 << 20, toyTrans, true},
-		{"reuse-bail", 1 << 20, toyBailTrans, false},
 		{"stays-interned", 1 << 20, toyReuseTrans, true},
 	}
 	for _, tc := range cases {

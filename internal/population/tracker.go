@@ -97,9 +97,9 @@ type RingSpec[S any] struct {
 	// form is absent. The generic RingTracker ignores all three.
 	// ResidualMeta may keep internal memoization (e.g. a last-failing-check
 	// hint) as long as its verdict stays exact for ANY meta slice it is
-	// handed — engines sharing one spec instance across lockstep lanes
-	// interleave calls with different meta slices, so a hint must be
-	// advisory, never load-bearing.
+	// handed — engines attached to one shared table set use its one spec
+	// instance with different meta slices, so a hint must be advisory,
+	// never load-bearing.
 	MetaID      func(s S) uint64
 	ArcMaskMeta func(l, r uint64) uint8
 	// AgentMaskMeta is the meta form of AgentMask, under the same

@@ -97,9 +97,11 @@ func Map[T any](ctx context.Context, total int, fn func(i int) T, opts Options) 
 	run := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {
+				// Raise the flag before the stack capture, so peers stop
+				// taking new items as soon as the panic is seen.
+				failed.Store(true)
 				stack := make([]byte, 64<<10)
 				stack = stack[:runtime.Stack(stack, false)]
-				failed.Store(true)
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = &PanicError{Index: i, Value: v, Stack: stack}

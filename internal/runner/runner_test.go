@@ -91,11 +91,20 @@ func TestMapPanicDoesNotDeadlock(t *testing.T) {
 func TestMapPanicAbandonsRemainingItems(t *testing.T) {
 	var ran atomic.Int64
 	const total = 10000
+	// Item 0 is handed out first; every other item waits until it is
+	// about to panic. On one P the woken peer then cannot run before the
+	// panicking worker yields, which it does only after raising the
+	// failure flag — so the peer cannot drain the batch whatever the OS
+	// scheduler does with the two workers' threads.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gate := make(chan struct{})
 	_, err := Map(context.Background(), total, func(i int) int {
 		ran.Add(1)
 		if i == 0 {
+			close(gate)
 			panic("early")
 		}
+		<-gate
 		return i
 	}, Options{Workers: 2})
 	if err == nil {

@@ -118,9 +118,9 @@ type quantCell struct {
 // The estimator is a fixed-boundary logarithmic histogram (16 buckets
 // per factor of two), which buys three properties exact reservoirs and
 // t-digests give up: estimates are deterministic, independent of record
-// arrival order (Sinks see completion order, which varies with the
-// worker count — a same-spec sweep must render the same table at any
-// parallelism), and two sinks merge losslessly by bucket addition (the
+// arrival order (an Experiment delivers trial order, but fabric workers
+// and other producers feed records as they complete — a same-spec sweep
+// must render the same table at any parallelism), and two sinks merge losslessly by bucket addition (the
 // fabric merges worker-side tables without re-reading records). Relative
 // quantile error is bounded by 2^(1/32) − 1 ≈ 2.2%.
 //

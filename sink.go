@@ -12,8 +12,9 @@ import (
 )
 
 // Sink consumes TrialRecords as trials finish. The Experiment delivers
-// records in completion order, not trial order (each record carries its
-// Trial index), serializes Record calls across worker goroutines, and
+// records in trial order within a cell, cells in plan order (protocols,
+// then sizes, as configured) — whatever the worker count — serializes
+// Record calls across worker goroutines, and
 // Closes every attached sink exactly once before Run or Stream returns —
 // on success, on the first error, and on context cancellation alike, so a
 // cancelled sweep still leaves a flushed, well-formed artifact behind. A
@@ -208,27 +209,56 @@ func ReadTrialRecords(r io.Reader) ([]TrialRecord, error) {
 }
 
 // sinkSet fans records out to every attached sink under one mutex — the
-// serialization half of the Sink contract — and captures the first error
-// (a failing sink or a failing trial).
+// serialization half of the Sink contract — in trial order, and captures
+// the first error (a failing sink or a failing trial).
 type sinkSet struct {
 	mu    sync.Mutex
 	sinks []Sink
 	err   error
+	// next is the lowest trial of the current cell not yet delivered; held
+	// keeps the records that finished ahead of it. The runner hands out
+	// trial indices in order, so held stays near the worker count.
+	next int
+	held map[int]TrialRecord
 }
 
-// record delivers rec to every sink in order; after the first error the
-// set goes inert.
+// beginCell resets the trial-order window for the next cell.
+func (ss *sinkSet) beginCell() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.next, ss.held = 0, nil
+}
+
+// record delivers rec to every sink in trial order: a record that finishes
+// ahead of the lowest undelivered trial is held, and each in-order run is
+// flushed as soon as the record closing its gap arrives, so no worker ever
+// waits for another. After the first error the set goes inert.
 func (ss *sinkSet) record(rec TrialRecord) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.err != nil {
 		return
 	}
-	for _, s := range ss.sinks {
-		if err := s.Record(rec); err != nil {
-			ss.err = fmt.Errorf("repro: sink: %w", err)
+	if rec.Trial != ss.next {
+		if ss.held == nil {
+			ss.held = make(map[int]TrialRecord)
+		}
+		ss.held[rec.Trial] = rec
+		return
+	}
+	for {
+		for _, s := range ss.sinks {
+			if err := s.Record(rec); err != nil {
+				ss.err = fmt.Errorf("repro: sink: %w", err)
+				return
+			}
+		}
+		ss.next++
+		var ok bool
+		if rec, ok = ss.held[ss.next]; !ok {
 			return
 		}
+		delete(ss.held, ss.next)
 	}
 }
 
