@@ -33,7 +33,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -263,22 +262,7 @@ func merge(args []string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no shard files given")
 	}
-	files := make([]*os.File, 0, len(paths))
-	readers := make([]io.Reader, 0, len(paths))
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		readers = append(readers, f)
-	}
-	merged, err := repro.MergeShards(spec.Experiment(), readers...)
+	merged, err := fabric.MergeFiles(spec, paths)
 	if err != nil {
 		return err
 	}

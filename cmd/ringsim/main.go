@@ -165,21 +165,15 @@ func run() error {
 // path the per-trial records are written as JSONL in trial order.
 func runRepeated(p repro.Protocol, sc repro.Scenario, n int, seed uint64, trials, workers int, record string) error {
 	type trial struct {
-		res repro.TrialResult
 		rec repro.TrialRecord
 		err error
 	}
-	probed := record != ""
 	results, err := runner.Map(context.Background(), trials, func(i int) trial {
-		if !probed {
-			res, err := p.Trial(sc, n, seed+uint64(i))
-			return trial{res: res, err: err}
-		}
 		probe := &repro.RecordingProbe{}
-		res, err := repro.ProbeTrial(p, sc, n, seed+uint64(i), probe)
+		_, err := repro.ProbeTrial(p, sc, n, seed+uint64(i), probe)
 		rec := probe.Record()
 		rec.Trial = i
-		return trial{res: res, rec: rec, err: err}
+		return trial{rec, err}
 	}, runner.Options{Workers: workers})
 	if err != nil {
 		return err
@@ -187,21 +181,19 @@ func runRepeated(p repro.Protocol, sc repro.Scenario, n int, seed uint64, trials
 	maxSteps := sc.MaxSteps(p, n)
 	var steps []float64
 	failures := 0
-	var recs []repro.TrialRecord
+	recs := make([]repro.TrialRecord, 0, trials)
 	for _, tr := range results {
 		if tr.err != nil {
 			return tr.err
 		}
-		if probed {
-			recs = append(recs, tr.rec)
-		}
-		if !tr.res.Converged {
+		recs = append(recs, tr.rec)
+		if !tr.rec.Converged {
 			failures++
 			continue
 		}
-		steps = append(steps, float64(tr.res.Steps))
+		steps = append(steps, float64(tr.rec.Steps))
 	}
-	if probed {
+	if record != "" {
 		if err := writeRecords(record, recs); err != nil {
 			return err
 		}

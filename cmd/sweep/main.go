@@ -579,27 +579,18 @@ func e14Adversary(p profile) {
 	for _, adv := range adversaries {
 		sc := repro.Scenario{Sched: adv.sched}
 		check(proto.Validate(sc))
-		type outcome struct {
-			rec repro.TrialRecord
-			err error
-		}
-		outs, err := runner.Map(context.Background(), p.table1Trials, func(t int) outcome {
-			probe := &repro.RecordingProbe{}
-			_, err := repro.ProbeTrial(proto, sc, n, repro.TrialSeed(n, t), probe)
-			return outcome{probe.Record(), err}
-		}, pool)
-		check(err)
+		var recs recordSlice
+		check(repro.RunTrials(context.Background(), proto, sc, n, 0, p.table1Trials, pool.Workers, &recs))
 		var steps []float64
 		var recovery []float64
 		converged := 0
 		dynamics := "—"
-		for _, o := range outs {
-			check(o.err)
-			if o.rec.Converged {
+		for _, rec := range recs {
+			if rec.Converged {
 				converged++
-				steps = append(steps, float64(o.rec.Steps))
+				steps = append(steps, float64(rec.Steps))
 			}
-			obs := o.rec.Observables
+			obs := rec.Observables
 			if rc, ok := obs["eclipse_recovery_steps"]; ok {
 				recovery = append(recovery, rc)
 			}
@@ -621,6 +612,12 @@ func e14Adversary(p profile) {
 	fmt.Println("scheduler plumbing); the adversaries stress self-stabilization beyond")
 	fmt.Println("the paper's uniform-scheduler model.")
 }
+
+// recordSlice is a Sink keeping records in delivery (trial) order.
+type recordSlice []repro.TrialRecord
+
+func (s *recordSlice) Record(rec repro.TrialRecord) error { *s = append(*s, rec); return nil }
+func (s *recordSlice) Close() error                       { return nil }
 
 // mustProtocol resolves a registered protocol or aborts the sweep.
 func mustProtocol(name string) repro.Protocol {

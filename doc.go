@@ -75,11 +75,12 @@
 //     "leaders" series.
 //
 //   - Sink — consumes records as trials finish, in trial order within a
-//     cell and cells in plan order, whatever the worker count. Experiment.Sinks
-//     attaches any number (the in-memory Report is itself one such sink
-//     internally, so Run with sinks streams AND aggregates, byte-identical
-//     to before); Experiment.Stream drops the Report entirely, so a
-//     million-trial sweep runs in memory bounded by the worker count.
+//     cell and cells in plan order, whatever the worker count; every
+//     trial is recorded, and the in-memory Report is itself one such
+//     sink. Experiment.Sinks attaches any number; Experiment.Stream drops
+//     the Report, so a million-trial sweep runs in memory bounded by the
+//     worker count. RunTrials runs one cell's trial range into a sink —
+//     the runner the service and the fabric share with Experiment.
 //     JSONLSink writes the one-JSON-object-per-line artifact cmd/sweep
 //     (-record), cmd/ringsim (-record) and cmd/bench (-records) emit and
 //     cmd/figures (-records) renders; DecodeTrialRecords reads it back.
@@ -241,7 +242,7 @@
 // cmd/serve (over internal/service) puts this API behind a long-running
 // HTTP server: POST /v1/jobs takes a JSON job spec — protocols × sizes ×
 // scenario × trials × metrics — a bounded worker-pool queue executes its
-// cells through Experiment.Stream, and results stream back as
+// cells through RunTrials, and results stream back as
 // TrialRecord JSONL (GET /v1/jobs/{id}/records) or rendered reports
 // (GET /v1/jobs/{id}/report?format=md|json|csv, replayed through
 // ReportFromRecords). Because every (protocol, scenario, n, seed) cell

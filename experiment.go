@@ -129,8 +129,7 @@ func (e *Experiment) Observer(fn func(Progress)) *Experiment {
 // trials finish, in trial order within a cell and cells in plan order (a
 // record that finishes early waits only for the trials before it), and
 // every sink is closed exactly once before Run or Stream returns (see
-// Sink for the full contract). Attaching a sink switches trials to the
-// probed path, which leaves results bit-identical.
+// Sink for the full contract).
 func (e *Experiment) Sinks(sinks ...Sink) *Experiment {
 	for _, s := range sinks {
 		if s == nil {
@@ -223,57 +222,47 @@ func (e *Experiment) Run(ctx context.Context) (*Report, error) {
 	if err := e.execute(ctx, rs); err != nil {
 		return nil, err
 	}
-	return rs.rep, nil
+	return rs.report(), nil
 }
 
 // ReportFromRecords rebuilds the Report of this experiment from
 // already-produced TrialRecords instead of running any trial — the replay
 // path for record artifacts (a JSONL file, a service cache) produced by an
-// identically-configured experiment. Records are matched to cells by
-// (protocol name, FixSize-adjusted n, trial index); every non-skipped cell
-// must be fully covered or an error is returned, so a partial artifact
-// cannot silently render as an all-failures report. Because Run aggregates
-// through exactly this sink, the rebuilt Report — and its rendered bytes —
-// is byte-identical to the one the original Run returned, including Metric
-// tables (metrics reduce record observables, which the records carry).
+// identically-configured experiment. Records are matched to cells as
+// MergeShards matches them, and every non-skipped cell must be fully
+// covered, so a partial or inconsistent artifact cannot silently render
+// as a report. They then feed Run's own aggregation in plan order, so
+// the rebuilt Report — and its rendered bytes, Metric tables included —
+// is byte-identical to the one the original Run returned.
 func (e *Experiment) ReportFromRecords(recs []TrialRecord) (*Report, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	type cellKey struct {
-		proto string
-		n     int
-		trial int
-	}
-	byKey := make(map[cellKey]TrialRecord, len(recs))
+	x := newRecordIndex(e)
 	for _, rec := range recs {
-		byKey[cellKey{rec.Protocol, rec.N, rec.Trial}] = rec
+		if err := x.add(rec); err != nil {
+			return nil, fmt.Errorf("repro: %w", err)
+		}
 	}
 	rs := newReportSink(e)
-	for _, p := range e.protocols {
-		info := p.Info()
-		rs.beginRow(p, info)
-		for _, rawN := range e.sizes {
-			n := p.FixSize(rawN)
-			if cap, capped := e.caps[info.Name]; capped && rawN > cap {
-				rs.skipCell(n)
-				continue
-			}
-			rs.beginCell(n)
-			for t := 0; t < e.trials; t++ {
-				rec, ok := byKey[cellKey{info.Name, n, t}]
-				if !ok {
-					return nil, fmt.Errorf("repro: records missing trial %d of cell (%s, n=%d)", t, info.Name, n)
-				}
-				if err := rs.Record(rec); err != nil {
-					return nil, err
-				}
-			}
-			rs.endCell()
+	for _, c := range x.plan {
+		rs.beginCell(c)
+		if c.skip {
+			continue
 		}
-		rs.endRow()
+		base := x.base[c.id()]
+		cell, err := x.span(base, base+x.trials)
+		if err != nil {
+			return nil, err
+		}
+		for _, rec := range cell {
+			rs.Record(rec)
+		}
+		if err := rs.endCell(); err != nil {
+			return nil, err
+		}
 	}
-	return rs.rep, nil
+	return rs.report(), nil
 }
 
 // Stream executes the experiment without building a Report: every
@@ -295,10 +284,34 @@ func (e *Experiment) Stream(ctx context.Context) error {
 	return e.execute(ctx, nil)
 }
 
+// planCell is one (protocol, size) cell of the trial matrix.
+type planCell struct {
+	row  int // the protocol's index in row order
+	p    Protocol
+	info ProtocolInfo
+	n    int  // FixSize-adjusted
+	skip bool // above the protocol's MaxSizeFor cap: runs nothing
+}
+
+// id names the cell's records: (protocol display name, adjusted n).
+func (c planCell) id() cellID { return cellID{c.info.Name, c.n} }
+
+// plan lists the cells in plan order — protocols in row order, then sizes
+// as configured. Running, replaying and merging all walk this one list.
+func (e *Experiment) plan() []planCell {
+	cells := make([]planCell, 0, len(e.protocols)*len(e.sizes))
+	for row, p := range e.protocols {
+		info := p.Info()
+		max, capped := e.caps[info.Name]
+		for _, rawN := range e.sizes {
+			cells = append(cells, planCell{row: row, p: p, info: info, n: p.FixSize(rawN), skip: capped && rawN > max})
+		}
+	}
+	return cells
+}
+
 // execute runs the trial matrix, streaming records into the report sink
-// (nil in Stream mode) and the user sinks. All sinks — the Report
-// included — consume the same record stream; the report sink is just the
-// one that aggregates in memory.
+// (nil in Stream mode) and the user sinks alike.
 func (e *Experiment) execute(ctx context.Context, rs *reportSink) (err error) {
 	if verr := e.validate(); verr != nil {
 		return verr
@@ -314,103 +327,78 @@ func (e *Experiment) execute(ctx context.Context, rs *reportSink) (err error) {
 		}
 	}()
 
-	// The probed path costs a per-trial record; the legacy path is kept
-	// bit-for-bit as the hot default when nobody is observing.
-	probed := rs == nil || len(e.sinks) > 0 || len(e.metrics) > 0 || e.probe != nil
-
-	for _, p := range e.protocols {
-		info := p.Info()
+	for _, c := range e.plan() {
 		if rs != nil {
-			rs.beginRow(p, info)
+			rs.beginCell(c)
 		}
-		for _, rawN := range e.sizes {
-			n := p.FixSize(rawN)
-			if cap, capped := e.caps[info.Name]; capped && rawN > cap {
-				if rs != nil {
-					// An empty placeholder keeps cells positionally aligned
-					// with Sizes, so renderers never attribute a cell to the
-					// wrong size row.
-					rs.skipCell(n)
-				}
-				continue
+		if c.skip {
+			continue
+		}
+		opts := runner.Options{Workers: e.workers}
+		if obs := e.observer; obs != nil {
+			opts.Progress = func(done, total int) {
+				obs(Progress{Protocol: c.info.Name, N: c.n, Done: done, Trials: total})
 			}
-			if err := e.runCell(ctx, p, info, n, probed, ss, rs); err != nil {
+		}
+		if err := runTrials(ctx, c.p, e.scenario, c.n, 0, e.trials, opts, e.probe, ss); err != nil {
+			return err
+		}
+		if rs != nil {
+			if err := rs.endCell(); err != nil {
 				return err
 			}
 		}
-		if rs != nil {
-			rs.endRow()
-		}
 	}
 	return nil
 }
 
-// runCell fans the trials of one (protocol, size) cell out through the
-// worker pool, streaming the records to the sinks in trial order.
-func (e *Experiment) runCell(ctx context.Context, p Protocol, info ProtocolInfo, n int, probed bool, ss *sinkSet, rs *reportSink) error {
-	if rs != nil {
-		rs.beginCell(n)
+// RunTrials runs trials [lo, hi) of the (p, n) cell under sc on up to
+// workers goroutines (0 = one per core) and streams their TrialRecords
+// into sink in trial order, closing it before returning. n must already
+// be FixSize-adjusted. It is Experiment's own cell runner, so the records
+// are byte-identical to the same trials of an Experiment's sink stream.
+func RunTrials(ctx context.Context, p Protocol, sc Scenario, n, lo, hi, workers int, sink Sink) error {
+	ss := &sinkSet{sinks: []Sink{sink}}
+	err := runTrials(ctx, p, sc, n, lo, hi, runner.Options{Workers: workers}, nil, ss)
+	if cerr := ss.close(); err == nil {
+		err = cerr
 	}
-	ss.beginCell()
-	opts := runner.Options{Workers: e.workers}
-	if e.observer != nil {
-		obs := e.observer
-		opts.Progress = func(done, total int) {
-			obs(Progress{Protocol: info.Name, N: n, Done: done, Trials: total})
-		}
-	}
-	sc := e.scenario
-	ferr := runner.ForEach(ctx, e.trials, func(t int) {
-		seed := TrialSeed(n, t)
-		var rec TrialRecord
-		if probed {
-			rp := &RecordingProbe{}
-			var probe Probe = rp
-			if e.probe != nil {
-				if extra := e.probe(); extra != nil {
-					probe = Probes(rp, extra)
-				}
-			}
-			if _, err := ProbeTrial(p, sc, n, seed, probe); err != nil {
-				ss.fail(err)
-				return
-			}
-			rec = rp.Record()
-		} else {
-			res, err := p.Trial(sc, n, seed)
-			if err != nil {
-				ss.fail(err)
-				return
-			}
-			rec = TrialRecord{
-				Protocol: info.Name, N: res.N, Seed: res.Seed,
-				Steps: res.Steps, Stabilized: res.Stabilized, Converged: res.Converged,
+	return err
+}
+
+// runTrials is the one trial → record → sink path: trial t runs with
+// seed TrialSeed(n, t) under a RecordingProbe (plus a probe from extra,
+// when set), and its record goes to ss in trial order.
+func runTrials(ctx context.Context, p Protocol, sc Scenario, n, lo, hi int, opts runner.Options, extra func() Probe, ss *sinkSet) error {
+	ss.beginCell(lo)
+	err := runner.ForEach(ctx, hi-lo, func(i int) {
+		rp := &RecordingProbe{}
+		var probe Probe = rp
+		if extra != nil {
+			if x := extra(); x != nil {
+				probe = Probes(rp, x)
 			}
 		}
+		t := lo + i
+		_, err := ProbeTrial(p, sc, n, TrialSeed(n, t), probe)
+		rec := rp.Record()
 		rec.Trial = t
-		ss.record(rec)
+		ss.record(rec, err)
 	}, opts)
-	if ferr != nil {
-		return ferr
-	}
-	if err := ss.firstErr(); err != nil {
+	if err != nil {
 		return err
 	}
-	if rs != nil {
-		rs.endCell()
-	}
-	return nil
+	return ss.firstErr()
 }
 
-// reportSink is the in-memory aggregation as a Sink: it routes each record
-// into its cell slot by Trial index and, at cell/row boundaries driven by
-// execute, reduces them to the summaries, metric values and exponent fits
-// of the Report — exactly the aggregation the pre-streaming Experiment
-// did, so reports stay byte-identical.
+// reportSink is the in-memory aggregation as a Sink: records arrive in
+// trial order and append to the open cell; at the cell boundaries of the
+// plan walk they reduce to the summaries, metric values and exponent
+// fits of the Report.
 type reportSink struct {
 	e    *Experiment
 	rep  *Report
-	row  ReportRow
+	row  int // row of the open cell
 	cell ReportCell
 	obs  []map[string]float64
 }
@@ -427,42 +415,39 @@ func newReportSink(e *Experiment) *reportSink {
 	return &reportSink{e: e, rep: rep}
 }
 
-func (rs *reportSink) beginRow(p Protocol, info ProtocolInfo) {
-	refSize := rs.e.sizes[len(rs.e.sizes)-1]
-	rs.row = ReportRow{
-		Protocol: info,
-		States:   p.States(p.FixSize(refSize)),
+// beginCell opens c, and with its protocol's first cell the protocol's
+// row. A skipped cell goes in at once as an empty placeholder, which
+// keeps cells positionally aligned with Sizes, so renderers never
+// attribute a cell to the wrong size row.
+func (rs *reportSink) beginCell(c planCell) {
+	if c.row == len(rs.rep.Rows) {
+		refSize := rs.e.sizes[len(rs.e.sizes)-1]
+		rs.rep.Rows = append(rs.rep.Rows, ReportRow{Protocol: c.info, States: c.p.States(c.p.FixSize(refSize))})
 	}
+	if c.skip {
+		rs.rep.Rows[c.row].Cells = append(rs.rep.Rows[c.row].Cells, ReportCell{N: c.n})
+		return
+	}
+	rs.row, rs.cell, rs.obs = c.row, ReportCell{N: c.n}, nil
 }
 
-func (rs *reportSink) endRow() {
-	rs.row.Exponent, rs.row.ExponentOK = harness.Exponent(harnessCells(rs.row.Cells))
-	rs.rep.Rows = append(rs.rep.Rows, rs.row)
-}
-
-func (rs *reportSink) skipCell(n int) {
-	rs.row.Cells = append(rs.row.Cells, ReportCell{N: n})
-}
-
-func (rs *reportSink) beginCell(n int) {
-	rs.cell = ReportCell{N: n, Trials: make([]TrialResult, rs.e.trials)}
-	rs.obs = make([]map[string]float64, rs.e.trials)
-}
-
-// Record implements Sink. The experiment serializes calls; rec.Trial
-// routes the record into its pre-allocated slot, which is what keeps the
-// aggregation independent of completion order.
+// Record implements Sink, appending rec to the open cell; the sinkSet and
+// the replay both deliver in trial order.
 func (rs *reportSink) Record(rec TrialRecord) error {
-	rs.cell.Trials[rec.Trial] = rec.Result()
-	rs.obs[rec.Trial] = rec.Observables
+	rs.cell.Trials = append(rs.cell.Trials, rec.Result())
+	rs.obs = append(rs.obs, rec.Observables)
 	return nil
 }
 
 // Close implements Sink; the report needs no flushing.
 func (rs *reportSink) Close() error { return nil }
 
-// endCell reduces the completed cell, in trial order.
-func (rs *reportSink) endCell() {
+// endCell reduces the open cell, which must hold exactly Trials records.
+func (rs *reportSink) endCell() error {
+	row := &rs.rep.Rows[rs.row]
+	if got := len(rs.cell.Trials); got != rs.e.trials {
+		return fmt.Errorf("repro: cell (%s, n=%d) holds %d records, want %d", row.Protocol.Name, rs.cell.N, got, rs.e.trials)
+	}
 	var steps, stab []float64
 	for _, res := range rs.cell.Trials {
 		if !res.Converged {
@@ -490,9 +475,18 @@ func (rs *reportSink) endCell() {
 			rs.cell.Metrics[m.label()] = v
 		}
 	}
-	rs.row.Cells = append(rs.row.Cells, rs.cell)
-	rs.cell = ReportCell{}
-	rs.obs = nil
+	row.Cells = append(row.Cells, rs.cell)
+	return nil
+}
+
+// report completes the Report, fitting each row's scaling exponent over
+// its cells.
+func (rs *reportSink) report() *Report {
+	for i := range rs.rep.Rows {
+		row := &rs.rep.Rows[i]
+		row.Exponent, row.ExponentOK = harness.Exponent(harnessCells(row.Cells))
+	}
+	return rs.rep
 }
 
 // summaryFrom converts the internal summary to the public mirror.

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -80,5 +81,16 @@ func TestReportFromRecordsRejectsPartialArtifacts(t *testing.T) {
 	}
 	if _, err := replayExperiment().ReportFromRecords(nil); err == nil {
 		t.Fatal("ReportFromRecords accepted an empty record set")
+	}
+
+	// An identical duplicate is a straggler's harmless second copy; a
+	// conflicting one is a determinism violation, whichever copy comes last.
+	if _, err := replayExperiment().ReportFromRecords(append(recs, recs[0])); err != nil {
+		t.Fatalf("ReportFromRecords rejected an identical duplicate: %v", err)
+	}
+	conflict := recs[0]
+	conflict.Steps += 17
+	if _, err := replayExperiment().ReportFromRecords(append(recs, conflict)); err == nil || !strings.Contains(err.Error(), "conflicting duplicate") {
+		t.Fatalf("ReportFromRecords accepted a conflicting duplicate (err=%v)", err)
 	}
 }

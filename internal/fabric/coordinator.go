@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -391,30 +392,32 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // canonicalShardBytes decodes an uploaded shard body (gzip-sniffed) and
-// re-serializes it canonically — trial order, compact JSON — after
-// validating every record sits in the shard's range with the shard's
-// protocol and size, and that the range is fully covered.
+// re-encodes it canonically as it streams, checking that record i is
+// trial Lo+i of the shard's protocol and size and that exactly Hi−Lo
+// records arrive — the order RunShard emits. A permuted, duplicated,
+// short or foreign upload is rejected, never repaired.
 func canonicalShardBytes(sh Shard, display string, body io.Reader) ([]byte, error) {
-	col := plan.NewCollector(sh.Lo, sh.Hi)
+	var buf bytes.Buffer
+	next := sh.Lo
 	err := repro.DecodeTrialRecords(body, func(rec repro.TrialRecord) error {
-		if rec.Protocol != display || rec.N != sh.N {
-			return fmt.Errorf("record (%s, n=%d) does not belong to shard %s (%s, n=%d)", rec.Protocol, rec.N, sh.ID, display, sh.N)
+		if next == sh.Hi || rec.Protocol != display || rec.N != sh.N || rec.Trial != next {
+			return fmt.Errorf("record %d is (%s, n=%d, trial %d), not trial %d of (%s, n=%d) in [%d,%d)", next-sh.Lo, rec.Protocol, rec.N, rec.Trial, next, display, sh.N, sh.Lo, sh.Hi)
 		}
-		return col.Record(rec)
+		next++
+		return repro.WriteTrialRecords(&buf, []repro.TrialRecord{rec})
 	})
+	if err == nil && next != sh.Hi {
+		err = fmt.Errorf("%d records, want %d", next-sh.Lo, sh.Trials())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("shard %s upload: %w", sh.ID, err)
 	}
-	canonical, err := col.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("shard %s upload: %w", sh.ID, err)
-	}
-	return canonical, nil
+	return buf.Bytes(), nil
 }
 
 // Merged folds the checkpoint's shard files into the canonical record
-// stream, byte-identical to a serial run's (see repro.MergeShards). It
-// is only meaningful once Done.
+// stream, byte-identical to a serial run's (see MergeFiles). It is only
+// meaningful once Done.
 func (c *Coordinator) Merged() ([]repro.TrialRecord, error) {
 	c.mu.Lock()
 	paths := make([]string, 0, len(c.shards))
@@ -424,22 +427,22 @@ func (c *Coordinator) Merged() ([]repro.TrialRecord, error) {
 		}
 	}
 	c.mu.Unlock()
+	return MergeFiles(c.cfg.Spec, paths)
+}
+
+// MergeFiles folds shard record files (plain or gzip JSONL) into the
+// spec's canonical record stream through repro.MergeShards.
+func MergeFiles(spec plan.Spec, paths []string) ([]repro.TrialRecord, error) {
 	readers := make([]io.Reader, 0, len(paths))
-	files := make([]*os.File, 0, len(paths))
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		defer f.Close()
 		readers = append(readers, f)
 	}
-	return repro.MergeShards(c.cfg.Spec.Experiment(), readers...)
+	return repro.MergeShards(spec.Experiment(), readers...)
 }
 
 // WorkGauges are the coordinator's shard-granularity gauges, the same

@@ -276,6 +276,57 @@ func TestConflictingCompletionFailsSweep(t *testing.T) {
 	}
 }
 
+// TestCompleteRejectsMalformedUpload: an upload must carry its shard's
+// trials in trial order, each exactly once. A second copy of a trial
+// with different bytes, or the right records permuted, answers 400 and
+// leaves the shard open; the genuine RunShard bytes then land with 200.
+func TestCompleteRejectsMalformedUpload(t *testing.T) {
+	c, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+		Spec:        fabricSpec(),
+		ShardTrials: 3,
+		LeaseTTL:    time.Minute,
+		Dir:         t.TempDir(),
+	})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		c.Close()
+	})
+
+	lr := lease(t, ts.URL, "w1")
+	data := runShard(t, lr)
+	recs, err := repro.ReadTrialRecords(bytes.NewReader(data))
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("shard %s: %d records, err %v; want 3", lr.Shard.ID, len(recs), err)
+	}
+	conflict := recs[0]
+	conflict.Steps += 17
+	for name, body := range map[string][]repro.TrialRecord{
+		"conflicting duplicate": {recs[0], recs[1], recs[2], conflict},
+		"permuted":              {recs[1], recs[0], recs[2]},
+	} {
+		var buf bytes.Buffer
+		if err := repro.WriteTrialRecords(&buf, body); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		if code := complete(t, ts.URL, lr.LeaseID, buf.Bytes()); code != http.StatusBadRequest {
+			t.Errorf("%s upload = %d, want 400", name, code)
+		}
+	}
+	if st := c.Stats(); st.Shards.Done != 0 {
+		t.Fatalf("a rejected upload completed the shard: %+v", st.Shards)
+	}
+	if code := complete(t, ts.URL, lr.LeaseID, data); code != http.StatusOK {
+		t.Fatalf("genuine upload = %d, want 200", code)
+	}
+	if st := c.Stats(); st.Shards.Done != 1 {
+		t.Fatalf("genuine upload left shard stats %+v, want 1 done", st.Shards)
+	}
+}
+
 // TestCoordinatorKillResume: complete part of the sweep, tear the
 // coordinator down (its only persistent state is the checkpoint, which
 // is fsynced per completion — indistinguishable from a kill), and boot

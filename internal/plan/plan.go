@@ -1,15 +1,15 @@
 // Package plan is the shared sweep-planning layer of the serving and
 // fabric tiers: the wire Spec of one Experiment (protocols × sizes ×
 // scenario × trials × metrics), its expansion into deterministic
-// (protocol, size) cells, the content digest that names each cell, and
-// the canonical trial-order JSONL encoding of a cell's records.
+// (protocol, size) cells and the content digest that names each cell.
 //
 // Both the experiment service (internal/service) and the distributed
 // sweep fabric (internal/fabric) consume this package, which is what
 // keeps their guarantees aligned: a cell digest computed by the fabric
-// coordinator is the same digest the service cache uses, and the
-// canonical record bytes a fabric worker uploads are the bytes a service
-// cold run would have produced for the same cell.
+// coordinator is the same digest the service cache uses. Both tiers get
+// their record bytes from the library's one cell runner and JSONL
+// encoder, so a fabric worker uploads the bytes a service cold run would
+// have produced for the same trials.
 package plan
 
 import (
@@ -18,7 +18,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro"
 )
@@ -139,8 +138,7 @@ func (s Spec) Digest(extra string) (string, error) {
 // execution order: protocol row order, then size order — exactly the
 // order Experiment.execute visits cells, which is what makes the
 // concatenated record stream byte-identical to a library run's sink
-// stream (modulo completion-order: serving tiers re-serialize each cell
-// in trial order).
+// stream: both deliver each cell's records in trial order.
 type Cell struct {
 	Protocol string
 	RawN     int
@@ -187,58 +185,6 @@ func CellDigest(protocol string, scenarioJSON []byte, n, trials int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|proto=%s|scenario=%s|n=%d|trials=%d", SpecVersion, protocol, scenarioJSON, n, trials)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Collector buffers the records of one trial range [lo, hi) by trial
-// index; records arrive in completion order from a worker pool, Encode
-// re-serializes them in trial order — the canonical byte form every
-// serving tier ships and compares.
-type Collector struct {
-	lo   int
-	mu   sync.Mutex
-	recs []*repro.TrialRecord
-}
-
-// NewCollector returns a collector for trials [lo, hi).
-func NewCollector(lo, hi int) *Collector {
-	return &Collector{lo: lo, recs: make([]*repro.TrialRecord, hi-lo)}
-}
-
-// Record implements repro.Sink.
-func (c *Collector) Record(rec repro.TrialRecord) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := rec.Trial - c.lo
-	if i < 0 || i >= len(c.recs) {
-		return fmt.Errorf("record trial %d out of range [%d,%d)", rec.Trial, c.lo, c.lo+len(c.recs))
-	}
-	c.recs[i] = &rec
-	return nil
-}
-
-// Close implements repro.Sink.
-func (c *Collector) Close() error { return nil }
-
-// Encode emits the canonical JSONL bytes of the range: trial order, one
-// compact JSON object per line. json.Marshal sorts map keys, so the
-// bytes are a pure function of the records — the property both the
-// content-addressed cache and the fabric's byte-identical merge lean on.
-func (c *Collector) Encode() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var buf bytes.Buffer
-	for i, rec := range c.recs {
-		if rec == nil {
-			return nil, fmt.Errorf("trial %d finished without a record", c.lo+i)
-		}
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
 }
 
 // CountLines counts the records in a JSONL byte block.

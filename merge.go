@@ -2,7 +2,6 @@ package repro
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -10,91 +9,31 @@ import (
 // MergeShards folds shard record streams — JSONL readers, gzip-compressed
 // or plain, in any order, each holding any subset of the experiment's
 // trials — into the experiment's canonical record order: protocol row
-// order, then size order, then trial order; exactly the stream a
-// single-process Experiment.Run emits through a sink at Workers(1), and
-// the order ReportFromRecords replays. This is the merge half of the
-// distributed sweep fabric: because every trial is a pure function of
-// (protocol, scenario, n, trial), shard boundaries and shard placement
-// carry no information, and the merged stream — and the Report built
-// from it — is byte-identical to the serial run's.
-//
-// Coverage is verified: every non-skipped cell must be fully present or
-// an error is returned, so a partial shard set cannot silently merge
-// into a shorter stream. Duplicate records are tolerated when identical
-// (a re-issued straggler shard completing twice) and rejected when they
-// disagree — two shards disagreeing about the same trial means some
-// worker broke determinism, which must surface, never be papered over.
-// Records outside the experiment's matrix are rejected too.
+// order, then size order, then trial order, as Experiment.Run streams
+// them. This is the merge half of the distributed sweep fabric: every
+// trial is a pure function of (protocol, scenario, n, trial), so the
+// merged stream — and the Report built from it — is byte-identical to
+// the serial run's. Every non-skipped cell must be fully covered, so a
+// partial shard set cannot silently merge into a shorter stream. An
+// identical duplicate (a re-issued straggler shard) is dropped; a
+// conflicting duplicate or a record outside the matrix is an error.
 func MergeShards(e *Experiment, shards ...io.Reader) ([]TrialRecord, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	type cellKey struct {
-		proto string
-		n     int
-		trial int
-	}
-	// The canonical slot order, built exactly as execute visits cells.
-	var order []cellKey
-	slot := make(map[cellKey]int)
-	for _, p := range e.protocols {
-		info := p.Info()
-		for _, rawN := range e.sizes {
-			n := p.FixSize(rawN)
-			if cap, capped := e.caps[info.Name]; capped && rawN > cap {
-				continue // skipped cells produce no records
-			}
-			for t := 0; t < e.trials; t++ {
-				k := cellKey{info.Name, n, t}
-				if _, dup := slot[k]; dup {
-					// Two requested sizes FixSize-ing to the same n share
-					// records; the first occurrence owns the slot, as in Run.
-					continue
-				}
-				slot[k] = len(order)
-				order = append(order, k)
-			}
-		}
-	}
-
-	out := make([]*TrialRecord, len(order))
-	canon := make([][]byte, len(order))
+	x := newRecordIndex(e)
 	for si, r := range shards {
 		err := DecodeTrialRecords(r, func(rec TrialRecord) error {
-			k := cellKey{rec.Protocol, rec.N, rec.Trial}
-			i, ok := slot[k]
-			if !ok {
-				return fmt.Errorf("repro: shard %d: record (%s, n=%d, trial %d) is outside the experiment's matrix", si, rec.Protocol, rec.N, rec.Trial)
+			if err := x.add(rec); err != nil {
+				return fmt.Errorf("repro: shard %d: %w", si, err)
 			}
-			data, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			if out[i] != nil {
-				if !bytes.Equal(canon[i], data) {
-					return fmt.Errorf("repro: shard %d: conflicting duplicate for (%s, n=%d, trial %d) — determinism violation", si, rec.Protocol, rec.N, rec.Trial)
-				}
-				return nil // identical duplicate: a straggler's late copy
-			}
-			rc := rec
-			out[i] = &rc
-			canon[i] = data
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	merged := make([]TrialRecord, len(order))
-	for i, rec := range out {
-		if rec == nil {
-			k := order[i]
-			return nil, fmt.Errorf("repro: shards missing trial %d of cell (%s, n=%d)", k.trial, k.proto, k.n)
-		}
-		merged[i] = *rec
-	}
-	return merged, nil
+	return x.span(0, len(x.recs))
 }
 
 // WriteTrialRecords emits records as canonical JSONL — one compact JSON
@@ -103,16 +42,86 @@ func MergeShards(e *Experiment, shards ...io.Reader) ([]TrialRecord, error) {
 // single-worker run would have streamed.
 func WriteTrialRecords(w io.Writer, recs []TrialRecord) error {
 	for _, rec := range recs {
-		data, err := json.Marshal(rec)
+		line, err := encodeRecord(rec)
 		if err != nil {
 			return err
 		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cellID names one cell's records: (protocol display name, FixSize-adjusted
+// n), the identity TrialRecords carry.
+type cellID struct {
+	proto string
+	n     int
+}
+
+// recordIndex slots records into an experiment's matrix by (cell, trial)
+// — the one matching rule of MergeShards and ReportFromRecords. Slots
+// are laid out in plan order, so a fully covered index is the canonical
+// record stream; two requested sizes FixSize-ing to one n share a cell.
+type recordIndex struct {
+	plan   []planCell
+	trials int
+	base   map[cellID]int // first slot of each cell
+	recs   []TrialRecord  // empty slots hold just the (cell, trial) key
+	filled []bool
+}
+
+func newRecordIndex(e *Experiment) *recordIndex {
+	x := &recordIndex{plan: e.plan(), trials: e.trials, base: make(map[cellID]int)}
+	for _, c := range x.plan {
+		if _, dup := x.base[c.id()]; c.skip || dup {
+			continue
+		}
+		x.base[c.id()] = len(x.recs)
+		for t := 0; t < e.trials; t++ {
+			x.recs = append(x.recs, TrialRecord{Protocol: c.info.Name, N: c.n, Trial: t})
+		}
+	}
+	x.filled = make([]bool, len(x.recs))
+	return x
+}
+
+// add slots rec. A duplicate with identical canonical bytes (a re-issued
+// straggler shard landing twice) is dropped; a conflicting one means some
+// worker broke determinism, which must surface, never be papered over.
+func (x *recordIndex) add(rec TrialRecord) error {
+	base, ok := x.base[cellID{rec.Protocol, rec.N}]
+	if !ok || rec.Trial < 0 || rec.Trial >= x.trials {
+		return fmt.Errorf("record (%s, n=%d, trial %d) is outside the experiment's matrix", rec.Protocol, rec.N, rec.Trial)
+	}
+	i := base + rec.Trial
+	if !x.filled[i] {
+		x.recs[i], x.filled[i] = rec, true
+		return nil
+	}
+	have, err := encodeRecord(x.recs[i])
+	if err != nil {
+		return err
+	}
+	got, err := encodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(have, got) {
+		return fmt.Errorf("conflicting duplicate for (%s, n=%d, trial %d) — determinism violation", rec.Protocol, rec.N, rec.Trial)
+	}
+	return nil
+}
+
+// span returns the records of slots [lo, hi), or an error naming the
+// first missing trial.
+func (x *recordIndex) span(lo, hi int) ([]TrialRecord, error) {
+	for i := lo; i < hi; i++ {
+		if !x.filled[i] {
+			k := x.recs[i]
+			return nil, fmt.Errorf("repro: records missing trial %d of cell (%s, n=%d)", k.Trial, k.Protocol, k.N)
+		}
+	}
+	return x.recs[lo:hi], nil
 }

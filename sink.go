@@ -59,9 +59,22 @@ func CreateJSONL(path string) (*JSONLSink, error) {
 	return s, nil
 }
 
+// encodeRecord returns the canonical byte form of rec, the one every
+// JSONL writer emits and MergeShards compares duplicates by: compact JSON
+// and a newline. json.Marshal sorts map keys, so the bytes are a pure
+// function of the record — what the content-addressed cache and the
+// byte-identical merges lean on.
+func encodeRecord(rec TrialRecord) ([]byte, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
 // Record implements Sink.
 func (s *JSONLSink) Record(rec TrialRecord) error {
-	data, err := json.Marshal(rec)
+	line, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -70,10 +83,7 @@ func (s *JSONLSink) Record(rec TrialRecord) error {
 	if s.closed {
 		return fmt.Errorf("repro: JSONLSink is closed")
 	}
-	if _, err := s.bw.Write(data); err != nil {
-		return err
-	}
-	if err := s.bw.WriteByte('\n'); err != nil {
+	if _, err := s.bw.Write(line); err != nil {
 		return err
 	}
 	s.count++
@@ -222,20 +232,26 @@ type sinkSet struct {
 	held map[int]TrialRecord
 }
 
-// beginCell resets the trial-order window for the next cell.
-func (ss *sinkSet) beginCell() {
+// beginCell resets the trial-order window for a cell whose first trial
+// is lo.
+func (ss *sinkSet) beginCell(lo int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.next, ss.held = 0, nil
+	ss.next, ss.held = lo, nil
 }
 
-// record delivers rec to every sink in trial order: a record that finishes
-// ahead of the lowest undelivered trial is held, and each in-order run is
-// flushed as soon as the record closing its gap arrives, so no worker ever
-// waits for another. After the first error the set goes inert.
-func (ss *sinkSet) record(rec TrialRecord) {
+// record takes the outcome of trial rec.Trial — err when the trial
+// failed — and delivers rec to every sink in trial order: a record that
+// finishes ahead of the lowest undelivered trial is held, and each
+// in-order run is flushed as soon as the record closing its gap arrives,
+// so no worker ever waits for another. After the first error (a failing
+// trial or sink) the set goes inert.
+func (ss *sinkSet) record(rec TrialRecord, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	if ss.err == nil {
+		ss.err = err
+	}
 	if ss.err != nil {
 		return
 	}
@@ -259,15 +275,6 @@ func (ss *sinkSet) record(rec TrialRecord) {
 			return
 		}
 		delete(ss.held, ss.next)
-	}
-}
-
-// fail records a trial error; the first error wins.
-func (ss *sinkSet) fail(err error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.err == nil {
-		ss.err = err
 	}
 }
 

@@ -3,7 +3,6 @@ package repro
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -161,7 +160,7 @@ func (s *RotatingJSONLSink) finalizeSegment() error {
 // sink goes inert — further Records return the same error — but Close
 // still finalizes the last segment.
 func (s *RotatingJSONLSink) Record(rec TrialRecord) error {
-	data, err := json.Marshal(rec)
+	line, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -173,8 +172,8 @@ func (s *RotatingJSONLSink) Record(rec TrialRecord) error {
 	if s.writeErr != nil {
 		return s.writeErr
 	}
-	line := int64(len(data)) + 1
-	if s.segBytes > 0 && s.segBytes+line > s.opts.MaxBytes {
+	size := int64(len(line))
+	if s.segBytes > 0 && s.segBytes+size > s.opts.MaxBytes {
 		if err := s.finalizeSegment(); err != nil {
 			s.writeErr = err
 			return err
@@ -185,15 +184,11 @@ func (s *RotatingJSONLSink) Record(rec TrialRecord) error {
 			return err
 		}
 	}
-	if _, err := s.bw.Write(data); err != nil {
+	if _, err := s.bw.Write(line); err != nil {
 		s.writeErr = err
 		return err
 	}
-	if err := s.bw.WriteByte('\n'); err != nil {
-		s.writeErr = err
-		return err
-	}
-	s.segBytes += line
+	s.segBytes += size
 	s.count++
 	return nil
 }
