@@ -253,16 +253,14 @@
 //
 // For driving a single simulation interactively, RingElection runs P_PL
 // on a directed ring and RingOrientation runs the Section 5 orientation
-// protocol on an undirected ring. Comparison regenerates the paper's
-// Table 1 and is kept as a thin compatibility shim over Experiment.
+// protocol on an undirected ring.
 //
 // The building blocks live under internal/: the population-protocol
 // engine (internal/population), the protocol itself (internal/core), the
 // baselines (internal/yokota, internal/angluin, internal/fj,
 // internal/chenchen), the substrates (internal/twohop, internal/lottery,
-// internal/war), the experiment harness (internal/harness,
-// internal/stats) and the parallel trial-execution engine
-// (internal/runner).
+// internal/war), the statistics kit (internal/stats) and the parallel
+// trial-execution engine (internal/runner).
 //
 // See README.md for the narrative overview, docs/ARCHITECTURE.md for the
 // full layer map, docs/API.md for the service's HTTP reference, and the

@@ -2,10 +2,11 @@
 // number of independent, index-addressed work items out across a bounded
 // worker pool and collects their results in index order.
 //
-// Every trial-driving layer of the repository — harness.Sweep, the cmd/sweep
-// experiment sections, cmd/ringsim repetitions, cmd/table1 and the
-// benchmarks — routes its per-trial loops through this package. Trials are
-// pure functions of their index (seeds are derived deterministically from
+// Every trial-driving layer of the repository — repro.RunTrials (and so
+// Experiment, the service and the fabric), the cmd/sweep experiment
+// sections, cmd/ringsim repetitions, cmd/table1 and the benchmarks —
+// routes its per-trial loops through this package. Trials are pure
+// functions of their index (seeds are derived deterministically from
 // the index by the caller, or via DeriveSeed), so the result slice is
 // bit-for-bit identical whatever the worker count: parallelism changes only
 // wall-clock time, never the numbers in a report.

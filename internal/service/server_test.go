@@ -211,6 +211,34 @@ func TestSubmitStreamReport(t *testing.T) {
 	}
 }
 
+// TestReportWithCollidingSizes renders the JSON report of a job whose two
+// requested sizes run on one ring: angluin bumps 8 to 9. With a single
+// distinct size there is no exponent to fit, which the report must say
+// with exponent_ok=false instead of failing on a NaN.
+func TestReportWithCollidingSizes(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 2})
+	sub := submit(t, ts, JobSpec{Protocols: []string{"angluin"}, Sizes: []int{8, 9}, Trials: 2})
+	if st := waitDone(t, ts, sub.ID); st.State != StateDone {
+		t.Fatalf("job state = %s (%s)", st.State, st.Error)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/report?format=json", ts.URL, sub.ID))
+	if err != nil {
+		t.Fatalf("GET report json: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report json = %d: %s", resp.StatusCode, body)
+	}
+	var rep repro.Report
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("decode report: %v", err)
+	}
+	if len(rep.Rows) != 1 || rep.Rows[0].ExponentOK {
+		t.Fatalf("report rows = %+v, want one row without a fit", rep.Rows)
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 2})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/records", "/v1/jobs/nope/report"} {

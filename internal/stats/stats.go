@@ -1,6 +1,6 @@
-// Package stats provides the small statistics kit used by the experiment
-// harness: summary statistics of convergence-time samples and least-squares
-// fits for extracting scaling exponents from n-sweeps.
+// Package stats provides the small statistics kit behind repro.Report and
+// cmd/sweep: summary statistics of convergence-time samples and
+// least-squares fits for extracting scaling exponents from n-sweeps.
 package stats
 
 import (

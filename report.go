@@ -5,10 +5,11 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"repro/internal/harness"
+	"repro/internal/stats"
 )
 
 // Summary holds the descriptive statistics of one cell's converged trials.
@@ -87,8 +88,8 @@ type ReportCell struct {
 // trials — stand in for sizes skipped by MaxSizeFor, keeping Cells
 // positionally aligned with Report.Sizes), and the fitted power-law
 // exponent of mean convergence steps against n. ExponentOK is false when
-// fewer than two cells had data — distinguishing "no data" from a genuine
-// zero fit.
+// fewer than two distinct sizes had data — distinguishing "no data" from a
+// genuine zero fit.
 type ReportRow struct {
 	Protocol   ProtocolInfo `json:"protocol"`
 	States     uint64       `json:"states"`
@@ -111,49 +112,120 @@ type Report struct {
 	Metrics []string `json:"metrics,omitempty"`
 }
 
-// Exponents maps each protocol name to its fitted scaling exponent (0 when
-// the row had too little data to fit; check ReportRow.ExponentOK to
-// distinguish).
-func (r *Report) Exponents() map[string]float64 {
-	out := make(map[string]float64, len(r.Rows))
-	for _, row := range r.Rows {
-		out[row.Protocol.Name] = row.Exponent
-	}
-	return out
-}
-
 // Markdown renders the report in the repository's Table 1 layout: the
 // steps-per-size table, the summary table (assumption, paper bounds,
 // fitted exponent, exact state counts), and the trial count.
 func (r *Report) Markdown() string {
-	names := make([]string, len(r.Rows))
-	rows := make([]harness.Row, len(r.Rows))
-	cells := make([][]harness.Cell, len(r.Rows))
-	for i, row := range r.Rows {
-		names[i] = row.Protocol.Name
-		rows[i] = harness.Row{
-			Name:        row.Protocol.Name,
-			Assumption:  row.Protocol.Assumption,
-			PaperTime:   row.Protocol.PaperTime,
-			PaperStates: row.Protocol.PaperStates,
-			States:      row.States,
-		}
-		cells[i] = harnessCells(row.Cells)
-	}
-	statesAt := 0
-	if len(r.Sizes) > 0 {
-		statesAt = r.Sizes[len(r.Sizes)-1]
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "### Mean convergence steps (%s)\n\n", r.Scenario.Init.describe())
-	b.WriteString(harness.Table(names, cells, r.Sizes))
+	r.stepsTable(&b)
 	b.WriteString("\n### Table 1 reproduction\n\n")
-	b.WriteString(harness.SummaryTable(rows, cells, statesAt))
+	r.summaryTable(&b)
 	fmt.Fprintf(&b, "\nTrials per cell: %d.\n", r.Trials)
 	for _, label := range r.Metrics {
 		b.WriteString(r.metricTable(label))
 	}
 	return b.String()
+}
+
+// measured returns the row's cell at size index i, and whether it has
+// converged trials to show.
+func (row *ReportRow) measured(i int) (ReportCell, bool) {
+	if i >= len(row.Cells) || row.Cells[i].Steps.Count == 0 {
+		return ReportCell{}, false
+	}
+	return row.Cells[i], true
+}
+
+// stepsTable renders the protocols side by side: one line per requested
+// size, the mean convergence steps per protocol, — for a cell without
+// data.
+func (r *Report) stepsTable(b *strings.Builder) {
+	b.WriteString("| n |")
+	for _, row := range r.Rows {
+		fmt.Fprintf(b, " %s |", row.Protocol.Name)
+	}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(r.Rows)) + "\n")
+	for i, n := range r.Sizes {
+		b.WriteString("| " + r.sizeLabel(i, n) + " |")
+		for _, row := range r.Rows {
+			if c, ok := row.measured(i); ok {
+				fmt.Fprintf(b, " %.3g |", c.Steps.Mean)
+			} else {
+				b.WriteString(" — |")
+			}
+		}
+		b.WriteByte('\n')
+	}
+}
+
+// sizeLabel renders the n column of size index i from the actual trial
+// sizes of its populated cells, not the requested size: FixSize may
+// adjust a request (orient bumps n=2 to 3, the mod-k baseline bumps even
+// sizes), and labeling those lines with the requested size attributes the
+// measurements to a ring that was never run. Without data the label falls
+// back to the requested size; distinct actual sizes (protocols adjusting
+// differently) are slash-joined so none is misattributed.
+func (r *Report) sizeLabel(i, requested int) string {
+	var sizes []int
+	for _, row := range r.Rows {
+		if c, ok := row.measured(i); ok && !slices.Contains(sizes, c.N) {
+			sizes = append(sizes, c.N)
+		}
+	}
+	if len(sizes) == 0 {
+		return strconv.Itoa(requested)
+	}
+	slices.Sort(sizes)
+	parts := make([]string, len(sizes))
+	for k, n := range sizes {
+		parts[k] = strconv.Itoa(n)
+	}
+	return strings.Join(parts, "/")
+}
+
+// summaryTable renders the Table 1 reproduction: assumption, paper-cited
+// bounds, fitted exponent and the state count at the last requested size.
+// The |Q| header is escaped as \|Q\| so markdown renderers do not read its
+// pipes as column separators.
+func (r *Report) summaryTable(b *strings.Builder) {
+	statesAt := 0
+	if len(r.Sizes) > 0 {
+		statesAt = r.Sizes[len(r.Sizes)-1]
+	}
+	fmt.Fprintf(b, "| protocol | assumption | paper time | measured exponent | paper states | \\|Q\\|(n=%d) |\n", statesAt)
+	b.WriteString("|---|---|---|---|---|---|\n")
+	for _, row := range r.Rows {
+		exp := "—"
+		if row.ExponentOK {
+			exp = fmt.Sprintf("n^%.2f", row.Exponent)
+		}
+		p := row.Protocol
+		fmt.Fprintf(b, "| %s | %s | %s | %s | %s | %d |\n",
+			p.Name, p.Assumption, p.PaperTime, exp, p.PaperStates, row.States)
+	}
+}
+
+// fitExponent fits mean convergence steps against n as a power law, with
+// one point per distinct n: two requests FixSize-adjusted to one ring run
+// the same seeds and hold the same data, so a repeat adds nothing, and
+// alone the pair would fit a vertical line (NaN). Cells without data, or
+// with a zero mean that has no logarithm, are skipped; ok is false when
+// fewer than two sizes remain, distinguishing "no data" from a genuine
+// zero fit.
+func fitExponent(cells []ReportCell) (exp float64, ok bool) {
+	var x, y []float64
+	for _, c := range cells {
+		if c.Steps.Count == 0 || c.Steps.Mean <= 0 || slices.Contains(x, float64(c.N)) {
+			continue
+		}
+		x = append(x, float64(c.N))
+		y = append(y, c.Steps.Mean)
+	}
+	if len(x) < 2 {
+		return 0, false
+	}
+	return stats.PowerLawExponent(x, y), true
 }
 
 // metricTable renders one metric as a protocol × size table; cells without

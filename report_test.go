@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,6 +89,12 @@ func TestReportGoldenCSV(t *testing.T) {
 	}
 }
 
+// TestReportGoldenMarkdown pins the exact Markdown bytes: the steps table,
+// the size labels, the Table 1 summary and the exponent formatting.
+func TestReportGoldenMarkdown(t *testing.T) {
+	checkGolden(t, "report.md", []byte(goldenReport(t).Markdown()))
+}
+
 // failureReport is a report whose every trial fails: a 1-step budget
 // cannot reach S_PL, so each cell has trials but zero converged ones.
 func failureReport(t *testing.T) *repro.Report {
@@ -164,5 +171,150 @@ func TestReportMarkdownShape(t *testing.T) {
 	}
 	if strings.Contains(md, " |Q|(") {
 		t.Fatalf("unescaped |Q| header:\n%s", md)
+	}
+}
+
+// TestReportStepsTableActualSizes pins the n-column rule: a size-adjusting
+// protocol (orient bumps n=2→3, the mod-k baseline bumps even sizes) is
+// labeled with the size its trials actually ran at, not the requested
+// one; lines where protocols adjusted differently list every actual size,
+// and lines without data fall back to the request and render — cells.
+func TestReportStepsTableActualSizes(t *testing.T) {
+	measured := func(n int, mean float64) repro.ReportCell {
+		return repro.ReportCell{N: n, Steps: repro.Summary{Count: 1, Mean: mean}}
+	}
+	rep := &repro.Report{
+		Sizes: []int{8, 16, 32},
+		Rows: []repro.ReportRow{
+			{Protocol: repro.ProtocolInfo{Name: "[5]"}, Cells: []repro.ReportCell{measured(9, 100), measured(17, 200), {N: 33}}},
+			{Protocol: repro.ProtocolInfo{Name: "P_PL"}, Cells: []repro.ReportCell{measured(8, 50), measured(16, 150), {N: 32}}},
+		},
+	}
+	want := "" +
+		"| n | [5] | P_PL |\n" +
+		"|---|---|---|\n" +
+		"| 8/9 | 100 | 50 |\n" +
+		"| 16/17 | 200 | 150 |\n" +
+		"| 32 | — | — |\n"
+	if md := rep.Markdown(); !strings.Contains(md, want) {
+		t.Fatalf("steps table drifted:\n--- got ---\n%s--- want ---\n%s", md, want)
+	}
+
+	// A single size-adjusting protocol: the line label is the actual size.
+	rep.Sizes, rep.Rows = []int{8}, rep.Rows[:1]
+	if md := rep.Markdown(); !strings.Contains(md, "| 9 | 100 |") || strings.Contains(md, "| 8 |") {
+		t.Fatalf("requested size leaked into a size-adjusted line:\n%s", md)
+	}
+}
+
+// syntheticReport replays hand-made records through ReportFromRecords:
+// one trial per size of the registered protocol name, converging after
+// steps[n] steps, or failing where steps has no entry.
+func syntheticReport(t *testing.T, name string, sizes []int, steps map[int]uint64) *repro.Report {
+	t.Helper()
+	p, err := repro.NewProtocol(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []repro.TrialRecord
+	for _, n := range sizes {
+		s, ok := steps[n]
+		recs = append(recs, repro.TrialRecord{Protocol: p.Info().Name, N: n, Steps: s, Stabilized: s, Converged: ok})
+	}
+	rep, err := repro.NewExperiment().ProtocolNames(name).Sizes(sizes...).Trials(1).ReportFromRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestReportSummaryTable pins the Table 1 layout: the escaped \|Q\|
+// header at the last requested size, the paper columns, the fitted
+// exponent, and — for a row too small to fit.
+func TestReportSummaryTable(t *testing.T) {
+	md := syntheticReport(t, "yokota", []int{8, 16}, map[int]uint64{8: 100, 16: 420}).Markdown()
+	want := "" +
+		"| protocol | assumption | paper time | measured exponent | paper states | \\|Q\\|(n=16) |\n" +
+		"|---|---|---|---|---|---|\n" +
+		"| [28] Yokota et al. | knowledge N = n+O(n) | Θ(n²) | n^2.07 | O(n) | 792 |\n"
+	if !strings.Contains(md, want) {
+		t.Fatalf("summary table drifted:\n--- got ---\n%s--- want ---\n%s", md, want)
+	}
+	md = syntheticReport(t, "yokota", []int{8}, map[int]uint64{8: 100}).Markdown()
+	if !strings.Contains(md, "| Θ(n²) | — |") {
+		t.Fatalf("missing no-fit placeholder:\n%s", md)
+	}
+}
+
+// TestReportExponentFit fits mean steps against n on synthetic cells: an
+// exact n² law fits exponent 2.
+func TestReportExponentFit(t *testing.T) {
+	sizes := []int{16, 32, 64, 128}
+	steps := map[int]uint64{}
+	for _, n := range sizes {
+		steps[n] = uint64(n * n)
+	}
+	row := syntheticReport(t, "ppl", sizes, steps).Rows[0]
+	if !row.ExponentOK || math.Abs(row.Exponent-2) > 1e-9 {
+		t.Fatalf("fit = (%v, %v), want (2, true)", row.Exponent, row.ExponentOK)
+	}
+}
+
+// TestReportExponentNoData pins the "no data" contract: fewer than two
+// sizes with data yield ExponentOK=false and a — in the summary table,
+// never an ambiguous zero; a genuine flat fit is a real zero.
+func TestReportExponentNoData(t *testing.T) {
+	for name, steps := range map[string]map[int]uint64{
+		"all failed":      {},
+		"one size":        {8: 100},
+		"zero steps only": {8: 0, 16: 0},
+	} {
+		rep := syntheticReport(t, "ppl", []int{8, 16}, steps)
+		if row := rep.Rows[0]; row.ExponentOK || row.Exponent != 0 {
+			t.Fatalf("%s: fit = (%v, %v), want (0, false)", name, row.Exponent, row.ExponentOK)
+		}
+		if md := rep.Markdown(); !strings.Contains(md, "| O(n² log n) | — |") {
+			t.Fatalf("%s: missing no-fit placeholder:\n%s", name, md)
+		}
+	}
+	row := syntheticReport(t, "ppl", []int{8, 16}, map[int]uint64{8: 100, 16: 100}).Rows[0]
+	if !row.ExponentOK || math.Abs(row.Exponent) > 1e-9 {
+		t.Fatalf("flat fit = (%v, %v), want (0, true)", row.Exponent, row.ExponentOK)
+	}
+}
+
+// TestReportCollidingSizes is the regression test of the NaN fit: angluin
+// bumps both requested sizes 8 and 9 to n=9, so only one distinct size
+// remains. The fit must report no data, and every format must render.
+func TestReportCollidingSizes(t *testing.T) {
+	rep, err := repro.NewExperiment().ProtocolNames("angluin").Sizes(8, 9).Trials(2).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := rep.Rows[0]; row.ExponentOK || row.Cells[0].N != 9 || row.Cells[1].N != 9 {
+		t.Fatalf("row = %+v, want two n=9 cells and no fit", row)
+	}
+	data, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"exponent_ok": false`) {
+		t.Fatalf("JSON does not mark the fit as missing:\n%s", data)
+	}
+	if md := rep.Markdown(); !strings.Contains(md, "| Θ(n³) | — |") {
+		t.Fatalf("markdown does not render the missing fit as —:\n%s", md)
+	}
+	csvData, err := rep.CSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(csvData)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("CSV:\n%s", csvData)
+	}
+	for _, line := range lines[1:] {
+		if !strings.HasSuffix(line, ",") {
+			t.Fatalf("CSV exponent field not empty: %q", line)
+		}
 	}
 }
