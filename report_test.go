@@ -174,6 +174,26 @@ func TestReportMarkdownShape(t *testing.T) {
 	}
 }
 
+// TestReportStepsTableRendering renders one steps line with a measured
+// cell next to a cell without data: the header names each protocol, the
+// measured mean is printed and the empty cell renders as —.
+func TestReportStepsTableRendering(t *testing.T) {
+	rep := &repro.Report{
+		Sizes: []int{8},
+		Rows: []repro.ReportRow{
+			{Protocol: repro.ProtocolInfo{Name: "A"}, Cells: []repro.ReportCell{{N: 8, Steps: repro.Summary{Count: 1, Mean: 100}}}},
+			{Protocol: repro.ProtocolInfo{Name: "B"}, Cells: []repro.ReportCell{{N: 8}}},
+		},
+	}
+	want := "" +
+		"| n | A | B |\n" +
+		"|---|---|---|\n" +
+		"| 8 | 100 | — |\n"
+	if md := rep.Markdown(); !strings.Contains(md, want) {
+		t.Fatalf("steps table rendering:\n--- got ---\n%s--- want ---\n%s", md, want)
+	}
+}
+
 // TestReportStepsTableActualSizes pins the n-column rule: a size-adjusting
 // protocol (orient bumps n=2→3, the mod-k baseline bumps even sizes) is
 // labeled with the size its trials actually ran at, not the requested
