@@ -1,9 +1,14 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
+
+// ErrNoInternedLayer is RunBenchmark's answer to BenchInterned on a
+// protocol that runs on the generic engine only (P_PL).
+var ErrNoInternedLayer = errors.New("no interned layer")
 
 // BenchMode selects what RunBenchmark measures on one protocol engine.
 type BenchMode string
@@ -22,8 +27,9 @@ const (
 	// pre-tracker baseline, kept as the comparison point.
 	BenchScan BenchMode = "scan"
 	// BenchInterned measures a run to convergence through the interned
-	// table-lookup execution layer (the trial default since the interned
-	// engine landed): transitions, leader accounting and tracker updates
+	// table-lookup execution layer (the trial default of every protocol
+	// that has one; ppl has none and answers ErrNoInternedLayer):
+	// transitions, leader accounting and tracker updates
 	// replayed as table loads, with transparent generic fallback when the
 	// interner's capacity cap is exceeded. The timed run goes through
 	// tables pre-filled by an untimed warmup run of the same trajectory,
@@ -50,7 +56,7 @@ type BenchResult struct {
 	Converged bool `json:"converged"`
 	// Fallback reports, for BenchInterned rows, that the interner's
 	// capacity cap was exceeded and the run completed on the generic path
-	// (P_PL at large n); absent for every other mode.
+	// (a lowered Scenario.MaxStates); absent for every other mode.
 	Fallback bool `json:"fallback,omitempty"`
 }
 

@@ -3,7 +3,8 @@
 // ring size × scenario cell, in four engine modes — the raw RunBatch
 // transition loop (no convergence judgement), the incremental-tracker run
 // to convergence, the scan-era periodic-predicate run, and the interned
-// table-lookup run (the trial default) — plus a "recovery" mode that
+// table-lookup run (the trial default; ppl has no interned layer and its
+// interned cells are skipped) — plus a "recovery" mode that
 // injects a mid-run fault burst through the public Trial API and records
 // the exact number of steps the protocol needed to re-converge, and an
 // "eclipse" mode that partitions the ring (an eclipse scheduler kills
@@ -47,6 +48,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -325,6 +327,7 @@ func run(stdout io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
+		noInterned := false
 		for _, class := range split(cfg.scenarios) {
 			init, err := repro.ParseInitClass(class)
 			if err != nil {
@@ -343,8 +346,16 @@ func run(stdout io.Writer, cfg config) error {
 					continue
 				}
 				for _, mode := range split(cfg.modes) {
+					if mode == string(repro.BenchInterned) && noInterned {
+						continue
+					}
 					for t := 0; t < cfg.trials; t++ {
 						res, err := measure(name, n, cfg.seed+uint64(t), sc, mode, cfg.rawSteps, cfg.bestOf)
+						if errors.Is(err, repro.ErrNoInternedLayer) {
+							fmt.Fprintf(stdout, "## skipping %s interned: no interned layer\n", name)
+							noInterned = true
+							break
+						}
 						if err != nil {
 							return err
 						}

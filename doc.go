@@ -181,18 +181,23 @@
 //
 // # Interned execution engine
 //
-// Trials run by default on an interned execution layer
-// (internal/population's InternedEngine): distinct states are interned
-// into dense integer IDs, the pairwise transition is memoized into a
-// lazily-filled (idL, idR) lookup table whose entries carry precomputed
-// leader-set deltas and tracker mask updates, and each interaction
-// replays as a handful of array loads instead of the full transition
-// cascade plus mask closures. Oracle protocols (fj's Ω?, chenchen's flag
+// Trials of the five low-state protocols run by default on an interned
+// execution layer (internal/population's InternedEngine): distinct states
+// are interned into dense integer IDs, the pairwise transition is
+// memoized into a lazily-filled (idL, idR) lookup table whose entries
+// carry precomputed leader-set deltas and tracker mask updates, and each
+// interaction replays as a handful of array loads instead of the full
+// transition cascade plus mask closures. Oracle protocols (fj's Ω?, chenchen's flag
 // census) keep one table per environment key and maintain their global
-// counters through precomputed per-entry deltas.
+// counters through precomputed per-entry deltas. P_PL has no interned
+// layer: its polylog(n) state count is a Θ(ψ⁸) product of module
+// states, so a fresh trial meets a never-seen pair on 18–39% of its
+// steps and tables built per trial never warm up. Its trials run on the
+// generic engine, whose RingTracker keeps SafetySpec's per-agent meta
+// words and judges the residual over them.
 //
 // The packed-state core carries the layer into the O(n)-state regime:
-// each protocol ships a fixed-width PackedCodec (an injective ≤63-bit
+// each interned protocol ships a fixed-width PackedCodec (an injective ≤63-bit
 // encoding of its state struct, pinned by round-trip and fuzz tests)
 // that keys the interner through an open-addressed table instead of a
 // Go map; pair memos live in a dense array while the state count is
@@ -204,8 +209,8 @@
 //
 // The layer is a pure accelerator: the RNG stream, step counts, leader
 // accounting, hitting times and probe event streams are bit-identical to
-// the generic engine (pinned by differential tests across all six
-// protocols, fuzzed seeds, adversarial schedulers and mid-run fault
+// the generic engine (pinned by differential tests across the five
+// interned protocols, fuzzed seeds, adversarial schedulers and mid-run fault
 // bursts), and it falls back to the generic path transparently when the
 // run exceeds the interner's capacity cap or stuck agents make the
 // transition site-dependent.

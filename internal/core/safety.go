@@ -380,9 +380,9 @@ func (p Params) SafetySpec() population.RingSpec[State] {
 		ArcNames:   []string{"dist_violations", "lastdrop_violations"},
 		AgentNames: []string{"leaders", "last_flags", "live_bullets"},
 	}
-	// The interned engine's per-ID acceleration: a meta-word projection of
-	// the mask- and residual-relevant fields (packed.go), strictly
-	// equivalent to the closures above.
+	// The tracker's meta-word acceleration: a per-agent projection of the
+	// mask- and residual-relevant fields (packed.go), strictly equivalent
+	// to the closures above.
 	p.attachMeta(&spec)
 	return spec
 }

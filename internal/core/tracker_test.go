@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/population"
 	"repro/internal/population/tracktest"
+	"repro/internal/sched"
 	"repro/internal/xrand"
 )
 
@@ -63,6 +65,87 @@ func TestSafetySpecOnPerfect(t *testing.T) {
 		eng.Step()
 		if !tr.Converged() {
 			t.Fatalf("left the tracked safe set at step %d (closure violated?)", eng.Steps())
+		}
+	}
+}
+
+// twinTracker feeds one engine's Reset/Update stream to two trackers, so
+// their verdicts can be compared step by step on the same trajectory.
+type twinTracker struct {
+	a, b *population.RingTracker[State]
+}
+
+func (w twinTracker) Reset(cfg []State)   { w.a.Reset(cfg); w.b.Reset(cfg) }
+func (w twinTracker) Update(li, ri int32) { w.a.Update(li, ri); w.b.Update(li, ri) }
+func (w twinTracker) Converged() bool     { return w.a.Converged() }
+
+// TestMetaTrackerMatchesClosureTracker pins RingTracker's meta-word path
+// (SafetySpec's MetaID, ArcMaskMeta, AgentMaskMeta, ResidualMeta) to its
+// closure path (a copy of the spec with the meta hooks nil) after every
+// single step: equal Counts, Converged and SampleCounts, through the
+// random init, a fault burst installed with SetStates, churn splices that
+// shrink and grow the ring (each a full Reset at a new n), and a biased
+// hotspot scheduler.
+func TestMetaTrackerMatchesClosureTracker(t *testing.T) {
+	for _, n := range []int{16, 33} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			p := NewParams(n)
+			plain := p.SafetySpec()
+			plain.MetaID, plain.ArcMaskMeta, plain.AgentMaskMeta, plain.ResidualMeta = nil, nil, nil, nil
+			meta := population.NewRingTracker(p.SafetySpec())
+			closures := population.NewRingTracker(plain)
+			eng := population.NewEngine(population.DirectedRing(n), New(p).Step, xrand.New(seed))
+			eng.SetStates(p.InitConfig("random", seed))
+			eng.SetTracker(twinTracker{meta, closures})
+			rng := xrand.New(seed ^ 0xfa17)
+			hits := 0
+			check := func(phase string, steps int) {
+				t.Helper()
+				for i := 0; i < steps; i++ {
+					eng.Step()
+					if meta.Counts() != closures.Counts() {
+						t.Fatalf("n=%d seed=%d %s step %d: counts %+v, closures %+v",
+							n, seed, phase, eng.Steps(), meta.Counts(), closures.Counts())
+					}
+					mc, cc := meta.Converged(), closures.Converged()
+					if mc != cc {
+						t.Fatalf("n=%d seed=%d %s step %d: converged %v, closures %v", n, seed, phase, eng.Steps(), mc, cc)
+					}
+					if mc {
+						hits++
+					}
+					ms, cs := map[string]float64{}, map[string]float64{}
+					meta.SampleCounts(ms)
+					closures.SampleCounts(cs)
+					if !reflect.DeepEqual(ms, cs) {
+						t.Fatalf("n=%d seed=%d %s step %d: samples %v, closures %v", n, seed, phase, eng.Steps(), ms, cs)
+					}
+				}
+			}
+			check("random init", 40*n*n)
+			cfg := eng.Snapshot()
+			for f := 0; f < n/4; f++ {
+				j := rng.Intn(len(cfg))
+				cfg[j] = p.RandomState(rng)
+			}
+			eng.SetStates(cfg)
+			check("fault burst", 40*n*n)
+			cfg = eng.Snapshot()
+			eng.SetTopology(population.DirectedRing(len(cfg)-3), cfg[3:])
+			check("churn shrink", 10*n*n)
+			cfg = eng.Snapshot()
+			cfg = append(cfg, p.RandomState(rng), p.RandomState(rng), p.RandomState(rng), p.RandomState(rng))
+			eng.SetTopology(population.DirectedRing(len(cfg)), cfg)
+			check("churn grow", 10*n*n)
+			b, err := sched.NewBiased(sched.HotspotWeights(eng.Arcs(), 2, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetScheduler(b)
+			check("hotspot scheduler", 20*n*n)
+			if hits == 0 {
+				t.Fatalf("n=%d seed=%d: no step converged; the residual paths went unexercised", n, seed)
+			}
 		}
 	}
 }

@@ -10,10 +10,8 @@ package population
 // whether the leader set changed and by how much, the arc mask of the
 // successor pair, and the transition's effect on the oracle's backing
 // counters. Convergence tracking is mirrored at the ID level too: per-ID
-// agent masks replace the AgentMask closure, the interaction arc's mask
-// comes fused out of the memo entry, and specs that provide the MetaID
-// acceleration evaluate their residual over a per-ID table of packed meta
-// words instead of the configuration structs.
+// agent masks replace the AgentMask closure, and the interaction arc's mask
+// comes fused out of the memo entry.
 //
 // All memoized state lives in a Tables value, which any number of engines
 // may share — the benchmark's warm/timed pair runs two engines against one
@@ -56,7 +54,7 @@ type EnvSpec[S any] struct {
 	Apply func(delta uint32)
 }
 
-// InternOptions tunes the interned layer's capacity caps.
+// InternOptions tunes the interned layer's capacity cap.
 type InternOptions struct {
 	// MaxStates caps the interner; once an execution needs more distinct
 	// states the engine permanently falls back to the generic path.
@@ -64,17 +62,12 @@ type InternOptions struct {
 	// rejected by NewTables (memo entries pack successor IDs into
 	// idBits-wide fields).
 	MaxStates int
-	// DenseStates caps the dense table tier; beyond it pair tables switch
-	// to hashing (see pairTable). 0 selects DefaultDenseStates.
-	DenseStates int
 }
 
 const (
 	// DefaultMaxStates is the interner's hard ID ceiling: the cap is a
 	// memory backstop, not a reuse heuristic — tables grow lazily with the
-	// pairs actually seen. The full ceiling is the default because the
-	// O(n)-state protocols genuinely use it: one P_PL trial at n = 1024
-	// interns ~230n states. Callers can lower it through InternOptions or
+	// pairs actually seen. Callers can lower it through InternOptions or
 	// Scenario.MaxStates.
 	DefaultMaxStates = MaxInternStates
 	// DefaultDenseStates keeps the dense tier's stride² array at or below
@@ -133,7 +126,7 @@ type Accelerator interface {
 
 // Tables is the shared, engine-independent half of the interned layer: the
 // state interner, the memoized per-key transition tables, and the per-ID
-// metadata (leader bits, agent masks, MetaID words). One Tables serves any
+// metadata (leader bits, agent masks). One Tables serves any
 // number of engines of the same protocol as long as all use is
 // single-goroutine and every attached engine runs the same transition,
 // leader predicate and spec the tables were built for.
@@ -146,11 +139,8 @@ type Tables[S comparable] struct {
 	in    *Interner[S]
 	trans []pairTable
 
-	leaderBit []bool   // per ID: isLeader
-	amask     []uint8  // per ID: RingSpec.AgentMask
-	rmeta     []uint64 // per ID: RingSpec.MetaID, when provided
-
-	denseStates int
+	leaderBit []bool  // per ID: isLeader
+	amask     []uint8 // per ID: RingSpec.AgentMask
 }
 
 // NewTables builds an empty table set for the spec. codec, when non-nil,
@@ -167,14 +157,10 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 	if opts.MaxStates > MaxInternStates {
 		panic("population: InternOptions.MaxStates exceeds MaxInternStates")
 	}
-	if opts.DenseStates <= 0 {
-		opts.DenseStates = DefaultDenseStates
-	}
 	t := &Tables[S]{
-		spec:        spec,
-		isLeader:    isLeader,
-		envKeys:     1,
-		denseStates: opts.DenseStates,
+		spec:     spec,
+		isLeader: isLeader,
+		envKeys:  1,
 	}
 	if env != nil {
 		if env.Keys < 1 || env.Delta == nil {
@@ -189,7 +175,7 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 	}
 	t.trans = make([]pairTable, t.envKeys)
 	for i := range t.trans {
-		t.trans[i] = newPairTable(opts.DenseStates)
+		t.trans[i] = newPairTable(DefaultDenseStates)
 	}
 	return t
 }
@@ -208,8 +194,8 @@ func (t *Tables[S]) Pairs() int {
 	return total
 }
 
-// syncIDMeta extends the per-ID precomputed leader bits, agent masks and
-// meta words to cover newly minted IDs.
+// syncIDMeta extends the per-ID precomputed leader bits and agent masks to
+// cover newly minted IDs.
 func (t *Tables[S]) syncIDMeta() {
 	for id := len(t.amask); id < t.in.Len(); id++ {
 		s := t.in.vals[id]
@@ -219,9 +205,6 @@ func (t *Tables[S]) syncIDMeta() {
 			m = t.spec.AgentMask(s)
 		}
 		t.amask = append(t.amask, m)
-		if t.spec.MetaID != nil {
-			t.rmeta = append(t.rmeta, t.spec.MetaID(s))
-		}
 	}
 }
 
@@ -238,13 +221,9 @@ type InternedEngine[S comparable] struct {
 	idsOK bool
 	idGen uint64 // Engine.installGen the mirror was built at
 
-	// RingTracker mirror at the ID level. ameta mirrors the per-agent
-	// MetaID words (spec.MetaID specs only): ameta[i] = rmeta[ids[i]],
-	// maintained through the writebacks so arc masks and the residual load
-	// one flat word per agent instead of dereferencing the ID table.
+	// RingTracker mirror at the ID level.
 	arcBits   []uint8
 	agentBits []uint8
-	ameta     []uint64
 	counts    LocalCounts
 	mirrorOK  bool
 	wc        witnessCache
@@ -257,8 +236,8 @@ type InternedEngine[S comparable] struct {
 	// which nothing reads before the loop exits. settle() rematerializes
 	// the configuration from the IDs at every loop exit — convergence,
 	// budget exhaustion, capacity fallback — so outside run loops
-	// Engine.states is always current. Only set by loops whose verdicts run
-	// entirely at the ID level (see lazyOn).
+	// Engine.states is always current. Only set by Run, which judges no
+	// verdict (see lazyOn).
 	lazyStates bool
 
 	fellBack bool
@@ -385,7 +364,7 @@ func (g *InternedEngine[S]) fall() {
 	g.fellBack = true
 	g.ids = nil
 	g.idsOK = false
-	g.arcBits, g.agentBits, g.ameta = nil, nil, nil
+	g.arcBits, g.agentBits = nil, nil
 	g.mirrorOK = false
 	g.tab = nil
 }
@@ -531,21 +510,15 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 	return stepApplied
 }
 
-// lazyOn enables lazy state materialization for the run loop about to
-// start, when every read the loop can perform is served at the ID level.
-// Oracle protocols stay eager: their fallback path replays the engine
-// observer over the configuration. converge marks a convergence loop,
-// which additionally needs the whole verdict chain — arc masks and the
-// residual — on the meta-word path, since the generic closures read
-// Engine.states after every applied step.
-func (g *InternedEngine[S]) lazyOn(converge bool) {
-	if g.env != nil {
-		return
+// lazyOn enables lazy state materialization for the Run loop about to
+// start. Oracle protocols stay eager: their fallback path replays the
+// engine observer over the configuration. Convergence loops never go
+// lazy, since the spec's closures read Engine.states after every applied
+// step.
+func (g *InternedEngine[S]) lazyOn() {
+	if g.env == nil {
+		g.lazyStates = true
 	}
-	if converge && (g.ameta == nil || g.tab.spec.Gate == nil || g.tab.spec.ResidualMeta == nil) {
-		return
-	}
-	g.lazyStates = true
 }
 
 // settle rematerializes Engine.states from the ID mirror and leaves lazy
@@ -564,19 +537,10 @@ func (g *InternedEngine[S]) settle() {
 }
 
 // arcMaskAt returns the spec's arc mask for the ring arc (i, i+1) of the
-// current configuration — through the per-agent meta words when the spec
-// provides them, through the state-level closure otherwise.
+// current configuration.
 func (g *InternedEngine[S]) arcMaskAt(i int) uint8 {
-	t := g.tab
 	e := g.Engine
-	j := i + 1
-	if j == e.topo.N {
-		j = 0
-	}
-	if g.ameta != nil {
-		return t.spec.ArcMaskMeta(g.ameta[i], g.ameta[j])
-	}
-	return t.spec.ArcMask(e.states[i], e.states[j])
+	return g.tab.spec.ArcMask(e.states[i], e.states[next(i, e.topo.N)])
 }
 
 // ensureMirror (re)builds the tracker mirror from the current
@@ -591,14 +555,6 @@ func (g *InternedEngine[S]) ensureMirror() {
 		g.arcBits = make([]uint8, n)
 	}
 	t := g.tab
-	if t.spec.MetaID != nil && t.spec.ArcMaskMeta != nil && t.spec.ResidualMeta != nil {
-		if len(g.ameta) != n {
-			g.ameta = make([]uint64, n)
-		}
-		for i := 0; i < n; i++ {
-			g.ameta[i] = t.rmeta[g.ids[i]]
-		}
-	}
 	g.counts = LocalCounts{}
 	g.wc.reset()
 	for i := 0; i < n; i++ {
@@ -624,21 +580,9 @@ func (g *InternedEngine[S]) mirrorUpdate(a, b int, l2, r2 uint32, fused uint8) {
 	n := g.Engine.topo.N
 	g.wc.note(a, b, n)
 	t := g.tab
-	if g.ameta != nil {
-		g.ameta[a] = t.rmeta[l2]
-		g.ameta[b] = t.rmeta[r2]
-	}
 	if t.spec.AgentMask != nil {
-		if g.ameta != nil && t.spec.AgentMaskMeta != nil {
-			// The meta words just written are still in registers; deriving
-			// the agent bits from them skips two random loads into the
-			// per-ID mask table.
-			g.refreshAgentBits(a, t.spec.AgentMaskMeta(g.ameta[a]))
-			g.refreshAgentBits(b, t.spec.AgentMaskMeta(g.ameta[b]))
-		} else {
-			g.refreshAgentID(a, l2)
-			g.refreshAgentID(b, r2)
-		}
+		g.refreshAgentID(a, l2)
+		g.refreshAgentID(b, r2)
 	}
 	if t.spec.ArcMask == nil {
 		return
@@ -671,10 +615,7 @@ func (g *InternedEngine[S]) mirrorUpdate(a, b int, l2, r2 uint32, fused uint8) {
 }
 
 func (g *InternedEngine[S]) refreshAgentID(i int, id uint32) {
-	g.refreshAgentBits(i, g.tab.amask[id])
-}
-
-func (g *InternedEngine[S]) refreshAgentBits(i int, nw uint8) {
+	nw := g.tab.amask[id]
 	if old := g.agentBits[i]; old != nw {
 		g.agentBits[i] = nw
 		bumpAgentCounts(&g.counts, old, nw, i)
@@ -694,14 +635,9 @@ func (g *InternedEngine[S]) setArcBits(i int, nw uint8) {
 
 // convergedNow is the spec verdict over the mirrored counts — the same
 // witness-cached protocol as RingTracker.Converged, through the one
-// shared implementation; specs carrying the MetaID acceleration get their
-// residual evaluated over the per-agent meta words.
+// shared implementation.
 func (g *InternedEngine[S]) convergedNow() bool {
-	t := g.tab
-	if t.spec.Gate != nil && t.spec.ResidualMeta != nil && g.ameta != nil {
-		return witnessVerdictMeta(&g.wc, &t.spec, &g.counts, g.ameta)
-	}
-	return witnessVerdict(&g.wc, &t.spec, &g.counts, g.Engine.states)
+	return witnessVerdict(&g.wc, &g.tab.spec, &g.counts, g.Engine.states, nil)
 }
 
 // Run implements Accelerator: exactly steps scheduler steps, interned when
@@ -717,7 +653,7 @@ func (g *InternedEngine[S]) Run(steps uint64) {
 		return
 	}
 	g.mirrorOK = false // not maintained outside convergence runs
-	g.lazyOn(false)
+	g.lazyOn()
 	rem := g.runSteps(steps, false)
 	g.settle()
 	if rem > 0 {
@@ -802,7 +738,6 @@ func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 	if g.convergedNow() {
 		return e.step, true
 	}
-	g.lazyOn(true)
 	for e.step < maxSteps {
 		if e.pendStart == e.pendEnd {
 			e.refillPending(maxSteps - e.step)

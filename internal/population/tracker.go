@@ -75,40 +75,32 @@ type RingSpec[S any] struct {
 	// O(n) per interaction; witness caching reduces it to O(1) amortized).
 	Gate     func(c *LocalCounts) bool
 	Residual func(c *LocalCounts, cfg []S) (bool, Witness)
-	// MetaID, ArcMaskMeta and ResidualMeta are the optional meta-word
-	// acceleration of the spec for the interned engine (interned.go): when
-	// MetaID is non-nil, the engine maintains a per-agent slice of
-	// MetaID(state) words alongside the configuration and evaluates
-	// ArcMaskMeta/ResidualMeta over those words instead of calling the
-	// state-level closures — one flat uint64 load per agent instead of a
-	// struct read and a closure dispatch, which is what keeps the residual
-	// scans of large-state protocols (P_PL) off the interned hot path. The
+	// MetaID, ArcMaskMeta, AgentMaskMeta and ResidualMeta are the optional
+	// meta-word acceleration of the spec for RingTracker: when MetaID is
+	// non-nil, the tracker maintains a per-agent slice of MetaID(state)
+	// words alongside the configuration (rebuilt by Reset, refreshed for
+	// the two touched agents by Update) and evaluates the meta forms over
+	// those words instead of calling the state-level closures — one flat
+	// uint64 load per agent instead of a struct read, which is what keeps
+	// the residual scans of large-state protocols (P_PL) cheap. The
 	// contract is strict equivalence:
 	//
 	//	ArcMaskMeta(MetaID(l), MetaID(r)) == ArcMask(l, r)
+	//	AgentMaskMeta(MetaID(s))          == AgentMask(s)
 	//	ResidualMeta(c, meta)             == Residual(c, cfg)
 	//
 	// at every reachable configuration, where meta[i] == MetaID(cfg[i]).
 	// The verdicts must match exactly; the Witness on a false verdict must
 	// pin a genuinely failing check of THIS configuration (witness caching
 	// stays sound under any such choice), though it need not be the same
-	// check Residual would witness. ArcMaskMeta and ResidualMeta are each
-	// optional on their own; the generic closures serve wherever a meta
-	// form is absent. The generic RingTracker ignores all three.
-	// ResidualMeta may keep internal memoization (e.g. a last-failing-check
-	// hint) as long as its verdict stays exact for ANY meta slice it is
-	// handed — engines attached to one shared table set use its one spec
-	// instance with different meta slices, so a hint must be advisory,
-	// never load-bearing.
-	MetaID      func(s S) uint64
-	ArcMaskMeta func(l, r uint64) uint8
-	// AgentMaskMeta is the meta form of AgentMask, under the same
-	// equivalence contract: AgentMaskMeta(MetaID(s)) == AgentMask(s) at
-	// every reachable state. The interned engine's mirror refreshes a
-	// touched agent's condition bits from the meta word it just wrote
-	// instead of loading the per-ID mask table — on O(n)-state protocols
-	// that table is hundreds of KB of randomly indexed bytes, so the meta
-	// form removes two cache misses per applied interaction.
+	// check Residual would witness. The three meta forms are each optional
+	// on their own; the generic closures serve wherever a meta form is
+	// absent, and all three are ignored when MetaID is nil. ResidualMeta
+	// may keep internal memoization (e.g. a last-failing-check hint) as
+	// long as its verdict stays exact for ANY meta slice it is handed — a
+	// hint must be advisory, never load-bearing.
+	MetaID        func(s S) uint64
+	ArcMaskMeta   func(l, r uint64) uint8
 	AgentMaskMeta func(m uint64) uint8
 	// ResidualMeta receives the per-agent meta words: meta[i] is
 	// MetaID(cfg[i]) for ring position i.
@@ -197,11 +189,13 @@ func (c *witnessCache) note(a, b, n int) {
 
 // witnessVerdict runs the witness-cached Gate/Residual protocol over the
 // current counts and configuration, falling back to the spec's monolithic
-// Converged when the split is absent. It is the single copy of the
-// exactness-critical caching logic behind both RingTracker.Converged and
-// the interned engine's convergedNow (a free function because methods
-// cannot introduce type parameters).
-func witnessVerdict[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCounts, cfg []S) bool {
+// Converged when the split is absent. The residual runs as ResidualMeta
+// over meta when the spec has one and meta is non-nil, as Residual over
+// cfg otherwise. It is the single copy of the exactness-critical caching
+// logic behind both RingTracker.Converged and the interned engine's
+// convergedNow (a free function because methods cannot introduce type
+// parameters).
+func witnessVerdict[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCounts, cfg []S, meta []uint64) bool {
 	if spec.Gate == nil || spec.Residual == nil {
 		return spec.Converged(counts, cfg)
 	}
@@ -211,28 +205,13 @@ func witnessVerdict[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCoun
 	if c.armed && !c.dirty {
 		return false
 	}
-	ok, w := spec.Residual(counts, cfg)
-	if ok {
-		c.armed = false
-		return true
+	var ok bool
+	var w Witness
+	if spec.ResidualMeta != nil && meta != nil {
+		ok, w = spec.ResidualMeta(counts, meta)
+	} else {
+		ok, w = spec.Residual(counts, cfg)
 	}
-	c.armed, c.dirty, c.w = true, false, w
-	return false
-}
-
-// witnessVerdictMeta is witnessVerdict with the residual evaluated over
-// the per-agent meta words through spec.ResidualMeta — same witness-caching
-// protocol, same exactness contract, for interned engines whose spec
-// carries the meta acceleration. Callers guarantee Gate and ResidualMeta
-// are non-nil.
-func witnessVerdictMeta[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCounts, meta []uint64) bool {
-	if !spec.Gate(counts) {
-		return false
-	}
-	if c.armed && !c.dirty {
-		return false
-	}
-	ok, w := spec.ResidualMeta(counts, meta)
 	if ok {
 		c.armed = false
 		return true
@@ -254,10 +233,13 @@ type CountSampler interface {
 // RingTracker maintains a RingSpec incrementally: per-location condition
 // bits plus the per-channel match counts. An interaction touches two
 // adjacent agents, so at most two agent masks and four arc masks are
-// re-evaluated per Update — O(1) regardless of ring size.
+// re-evaluated per Update — O(1) regardless of ring size. Specs carrying
+// MetaID are tracked through their per-agent meta words (see RingSpec).
 type RingTracker[S any] struct {
 	spec      RingSpec[S]
 	cfg       []S
+	meta      []uint64 // meta[i] == MetaID(cfg[i]); nil unless spec.MetaID is set
+	metaMasks bool     // every mask the spec defines has its meta form
 	arcBits   []uint8
 	agentBits []uint8
 	counts    LocalCounts
@@ -272,7 +254,12 @@ func NewRingTracker[S any](spec RingSpec[S]) *RingTracker[S] {
 	if spec.Converged == nil {
 		panic("population: RingSpec needs a Converged verdict")
 	}
-	return &RingTracker[S]{spec: spec}
+	if spec.MetaID == nil {
+		spec.ArcMaskMeta, spec.AgentMaskMeta, spec.ResidualMeta = nil, nil, nil
+	}
+	metaMasks := spec.MetaID != nil && (spec.ArcMask == nil || spec.ArcMaskMeta != nil) &&
+		(spec.AgentMask == nil || spec.AgentMaskMeta != nil)
+	return &RingTracker[S]{spec: spec, metaMasks: metaMasks}
 }
 
 // Counts returns the current per-channel match counts (for tests and
@@ -301,15 +288,23 @@ func (t *RingTracker[S]) Reset(cfg []S) {
 		t.arcBits = make([]uint8, n)
 		t.agentBits = make([]uint8, n)
 	}
+	if t.spec.MetaID != nil {
+		if len(t.meta) != n {
+			t.meta = make([]uint64, n)
+		}
+		for i, s := range cfg {
+			t.meta[i] = t.spec.MetaID(s)
+		}
+	}
 	t.counts = LocalCounts{}
 	t.wc.reset()
 	for i := 0; i < n; i++ {
 		var ab, gb uint8
 		if t.spec.ArcMask != nil {
-			ab = t.spec.ArcMask(cfg[i], cfg[(i+1)%n])
+			ab = t.arcMask(i)
 		}
 		if t.spec.AgentMask != nil {
-			gb = t.spec.AgentMask(cfg[i])
+			gb = t.agentMask(i)
 		}
 		t.arcBits[i], t.agentBits[i] = ab, gb
 		bumpCounts(&t.counts.Arc, 0, ab)
@@ -318,11 +313,20 @@ func (t *RingTracker[S]) Reset(cfg []S) {
 }
 
 // Update implements ConvergenceTracker: it re-evaluates the conditions of
-// the two touched agents and of the (up to four) arcs incident to them.
+// the two touched agents and of the (up to four) arcs incident to them —
+// unless every mask reads meta words and neither touched word moved.
 func (t *RingTracker[S]) Update(li, ri int32) {
 	n := len(t.cfg)
 	a, b := int(li), int(ri)
 	t.wc.note(a, b, n)
+	if t.spec.MetaID != nil {
+		ma, mb := t.spec.MetaID(t.cfg[a]), t.spec.MetaID(t.cfg[b])
+		if t.metaMasks && ma == t.meta[a] && mb == t.meta[b] {
+			// Every mask reads the meta words alone, and neither moved.
+			return
+		}
+		t.meta[a], t.meta[b] = ma, mb
+	}
 	if t.spec.AgentMask != nil {
 		t.refreshAgent(a)
 		t.refreshAgent(b)
@@ -350,13 +354,32 @@ func (t *RingTracker[S]) Update(li, ri int32) {
 // Gate/Residual split get the witness-cached path: the O(1) gate runs
 // every step, and a failing residual is only re-run after an interaction
 // touches its witness; specs without the split pay their full Converged
-// verdict every call, exactly as before.
+// verdict every call, exactly as before. A spec's ResidualMeta runs over
+// the tracker's meta words in place of Residual.
 func (t *RingTracker[S]) Converged() bool {
-	return witnessVerdict(&t.wc, &t.spec, &t.counts, t.cfg)
+	return witnessVerdict(&t.wc, &t.spec, &t.counts, t.cfg, t.meta)
+}
+
+// arcMask evaluates the spec's arc mask of the ring arc (i, i+1), through
+// the meta words when the spec provides the meta form.
+func (t *RingTracker[S]) arcMask(i int) uint8 {
+	j := next(i, len(t.cfg))
+	if t.spec.ArcMaskMeta != nil {
+		return t.spec.ArcMaskMeta(t.meta[i], t.meta[j])
+	}
+	return t.spec.ArcMask(t.cfg[i], t.cfg[j])
+}
+
+// agentMask evaluates the spec's agent mask of agent i, likewise.
+func (t *RingTracker[S]) agentMask(i int) uint8 {
+	if t.spec.AgentMaskMeta != nil {
+		return t.spec.AgentMaskMeta(t.meta[i])
+	}
+	return t.spec.AgentMask(t.cfg[i])
 }
 
 func (t *RingTracker[S]) refreshAgent(i int) {
-	nw := t.spec.AgentMask(t.cfg[i])
+	nw := t.agentMask(i)
 	if old := t.agentBits[i]; old != nw {
 		t.agentBits[i] = nw
 		bumpAgentCounts(&t.counts, old, nw, i)
@@ -364,7 +387,7 @@ func (t *RingTracker[S]) refreshAgent(i int) {
 }
 
 func (t *RingTracker[S]) refreshArc(i int) {
-	nw := t.spec.ArcMask(t.cfg[i], t.cfg[(i+1)%len(t.cfg)])
+	nw := t.arcMask(i)
 	if old := t.arcBits[i]; old != nw {
 		t.arcBits[i] = nw
 		bumpCounts(&t.counts.Arc, old, nw)

@@ -142,10 +142,10 @@ func churnStep[S any](eng *population.Engine[S], rng *xrand.RNG, ev ChurnEvent, 
 }
 
 // interned returns the trial's interned execution layer, or nil when the
-// trial must run generically: the layer is absent, a test hook forces the
-// generic engine or the scan-era oracle, or the layer has already fallen
-// back (it then delegates internally, so returning it would still be
-// correct — this just keeps the dispatch explicit).
+// trial must run generically: the protocol has no layer (P_PL), a test
+// hook forces the generic engine or the scan-era oracle, or the layer has
+// already fallen back (it then delegates internally, so returning it would
+// still be correct — this just keeps the dispatch explicit).
 func (te trialEngine[S]) interned() population.Accelerator {
 	if te.accel == nil || internedOff.Load() || convergenceScanEvery.Load() > 0 {
 		return nil
@@ -159,8 +159,9 @@ func (te trialEngine[S]) interned() population.Accelerator {
 // one step), and convergence is judged on the run after the last event —
 // the self-stabilization question "does the protocol recover from this
 // adversarial history within the budget". The trial runs on the interned
-// table-lookup layer by default (falling back to the generic engine
-// transparently when its guards trip) and judges convergence after every
+// table-lookup layer when the protocol has one (falling back to the
+// generic engine transparently when its guards trip), on the generic
+// engine and its RingTracker otherwise, and judges convergence after every
 // step, so Steps is the exact hitting time of the protocol's convergence
 // predicate, not a checkEvery-quantized overestimate; the interned and
 // generic paths are pinned bit-identical by the differential regression
@@ -348,8 +349,9 @@ func internOpts(sc Scenario) population.InternOptions {
 // descriptor of the fixed per-protocol facts (Table 1 metadata, native
 // topology, admitted scenarios, size rules) and two constructors, from
 // which the Protocol, ProbedProtocol and bench surfaces are derived once.
-// tables builds the interned table set of one (scenario, n) cell; start
-// builds one trial's fully wired, unrun engine against such a set.
+// tables builds the interned table set of one (scenario, n) cell — nil for
+// a protocol without an interned layer; start builds one trial's fully
+// wired, unrun engine against such a set.
 type ringProtocol[S comparable] struct {
 	info     ProtocolInfo
 	topology Topology        // the native ring; TopologyDefault resolves to it
@@ -409,7 +411,7 @@ func (p *ringProtocol[S]) ProbedTrial(sc Scenario, n int, seed uint64, probe Pro
 	if err := p.Validate(sc); err != nil {
 		return TrialResult{}, err
 	}
-	te := p.start(sc, n, seed, p.tables(sc, n))
+	te := p.start(sc, n, seed, p.cellTables(sc, n))
 	return te.run(sc, n, seed, sc.MaxSteps(p, n), p.info.Name, probe), nil
 }
 
@@ -419,16 +421,29 @@ func (p *ringProtocol[S]) newBench(sc Scenario, n int, seed uint64) (benchRunner
 	if err := p.Validate(sc); err != nil {
 		return nil, err
 	}
-	return p.start(sc, n, seed, p.tables(sc, n)), nil
+	return p.start(sc, n, seed, p.cellTables(sc, n)), nil
+}
+
+// cellTables builds the cell's interned table set, or nil when the
+// protocol has no interned layer.
+func (p *ringProtocol[S]) cellTables(sc Scenario, n int) *population.Tables[S] {
+	if p.tables == nil {
+		return nil
+	}
+	return p.tables(sc, n)
 }
 
 // newBenchPair implements benchable: two trial engines for the same cell
 // and seed attached to one shared table set, so RunBenchmark can fill the
 // tables with an untimed run and then time the identical trajectory
-// through them warm.
+// through them warm. A protocol without an interned layer answers
+// ErrNoInternedLayer.
 func (p *ringProtocol[S]) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
 	if err := p.Validate(sc); err != nil {
 		return nil, nil, err
+	}
+	if p.tables == nil {
+		return nil, nil, fmt.Errorf("repro: %s: %w", p.info.Name, ErrNoInternedLayer)
 	}
 	tab := p.tables(sc, n)
 	return p.start(sc, n, seed, tab), p.start(sc, n, seed, tab), nil
@@ -439,7 +454,8 @@ func (p *ringProtocol[S]) newBenchPair(sc Scenario, n int, seed uint64) (benchRu
 // isLeader is nil — P_OR elects no leader, and the oracle runners track
 // leaders themselves), the generic
 // tracker over spec, the scenario's scheduler and stuck agents, and the
-// interned layer over tab (env is nil for pure pairwise transitions).
+// interned layer over tab when there is one (env is nil for pure pairwise
+// transitions).
 func wire[S comparable](te trialEngine[S], sc Scenario, seed uint64, isLeader func(S) bool,
 	spec population.RingSpec[S], tab *population.Tables[S], env *population.EnvSpec[S]) trialEngine[S] {
 	if isLeader != nil {
@@ -448,14 +464,19 @@ func wire[S comparable](te trialEngine[S], sc Scenario, seed uint64, isLeader fu
 	tracker := population.NewRingTracker(spec)
 	applySched(te.eng, sc, seed)
 	te.tracker = tracker
-	te.accel = population.AttachInterned(te.eng, tab, env, tracker)
+	if tab != nil {
+		te.accel = population.AttachInterned(te.eng, tab, env, tracker)
+	}
 	return te
 }
 
 // PPL returns the paper's protocol P_PL with the given ψ slack and κ_max
 // multiplier c1 (κ_max = c1·ψ). Zero c1 selects the default multiplier;
 // the paper allows any O(1) slack. PPL(0, 0) is the registered "ppl"
-// protocol.
+// protocol. It has no interned layer: its polylog(n) state count is a
+// Θ(ψ⁸) product of module states, so its pair tables stay cold and every
+// trial runs faster on the generic engine, whose RingTracker follows the
+// SafetySpec meta words.
 func PPL(slack, c1 int) Protocol {
 	if c1 <= 0 {
 		c1 = core.DefaultC1
@@ -472,17 +493,6 @@ func PPL(slack, c1 int) Protocol {
 		anyInit:  true,
 		states:   func(n int) uint64 { return params(n).StateCount() },
 		maxSteps: func(n int) uint64 { return 800 * uint64(n) * uint64(n) * uint64(params(n).Psi) },
-		// The packed codec keys the interner by the fixed-width state
-		// encoding (falling back to the map mode in parameterizations too
-		// wide to pack).
-		tables: func(sc Scenario, n int) *population.Tables[core.State] {
-			par := params(n)
-			var cp *population.PackedCodec[core.State]
-			if codec, ok := par.Codec(); ok {
-				cp = &codec
-			}
-			return population.NewTables(par.SafetySpec(), core.IsLeader, cp, nil, internOpts(sc))
-		},
 		start: func(sc Scenario, n int, seed uint64, tab *population.Tables[core.State]) trialEngine[core.State] {
 			par := params(n)
 			pr := core.New(par)
